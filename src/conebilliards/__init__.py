@@ -17,12 +17,12 @@ from .geometry import (
     CircularSection,
     GeneralCone,
     OrientedLine,
+    PreciseLine,
     ReflectionRecord,
     alpha_theta_residuals,
     angle_between,
     angular_momenta,
-    cone_next_intersection,
-    cone_step,
+    cone_step_precise,
     line_distance_sq,
     momenta3,
     projected_distance_sq,

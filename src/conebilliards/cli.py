@@ -3,8 +3,7 @@ figure/CSV emission.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage or
 configuration.  Every command is deterministic under a fixed seed; numbers
-are serialized with 17 significant digits.  BILLIARDS_THREADS caps the
-worker count for trajectory batches.
+are serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -31,13 +28,6 @@ SCHEMA_VERSION = 1
 
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BILLIARDS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -67,8 +57,7 @@ def _fail(msg: str) -> "SystemExit":
 # elliptic
 # ---------------------------------------------------------------------------
 
-def _one_trajectory(args):
-    cone, seed, index = args
+def _one_trajectory(cone, seed: int, index: int) -> dict:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     log = elliptic.run_random(cone, rng)
     pair0 = log.integrals[0]
@@ -95,15 +84,11 @@ def _one_trajectory(args):
 def cmd_elliptic_simulate(args) -> int:
     if not args.semi_a > args.semi_b > 0:
         raise _fail(f"need --semi-a > --semi-b > 0, got {args.semi_a}, {args.semi_b}")
+    if args.count < 1:
+        raise _fail(f"need --count >= 1, got {args.count}")
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     t0 = time.monotonic()
-    jobs = [(cone, args.seed, i) for i in range(args.count)]
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_one_trajectory, jobs))
-    else:
-        rows = [_one_trajectory(j) for j in jobs]
+    rows = [_one_trajectory(cone, args.seed, i) for i in range(args.count)]
 
     violations = [r for r in rows if r["bound"] >= 0 and r["reflections"] > r["bound"]]
     bad_sum = [r for r in rows if r["sum_theta"] >= math.pi]
@@ -157,6 +142,8 @@ def cmd_elliptic_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spiral_verify(args) -> int:
+    if args.kmax < 2:
+        raise _fail(f"need --kmax >= 2, got {args.kmax}")
     try:
         params = SpiralParams(a=args.a)
     except DomainError as exc:
@@ -394,7 +381,6 @@ def cmd_replay(args) -> int:
         measured={
             "start_k": rep.start_k,
             "flight_length": rep.simulated_length,
-            "flight_time_unit_speed": rep.simulated_length,
             "prefix_length": rep.prefix_length,
             "closed_form_length": rep.closed_form_length,
             "remaining_length": rep.tail_length,

@@ -165,10 +165,9 @@ class PolarCurve:
     deviation (< 1e-19 for kmax >= 1e5) is returned as exactly zero.
     """
 
-    def __init__(self, sigmas: np.ndarray, k1: int, kmax: int, params: Optional[SpiralParams] = None):
+    def __init__(self, sigmas: np.ndarray, k1: int, kmax: int):
         self.kmax = int(kmax)
         self.k1 = int(k1)
-        self.params = params
         sig = np.array(sigmas, dtype=float)
         if sig.size != self.kmax + 2:
             raise DomainError("sigma table must cover k = 0..kmax+1")
@@ -236,9 +235,6 @@ class PolarCurve:
         if not (1 <= k <= self.kmax):
             raise DomainError("arc index outside the table")
         return ArcPatch(k=k, sigma=float(self._sig[k]))
-
-    def junctions(self, k_lo: int, k_hi: int) -> np.ndarray:
-        return spiral.xi(np.arange(k_lo, k_hi + 1))
 
     def point(self, xi_val):
         """Cartesian section point (rho cos xi, rho sin xi)."""
@@ -310,7 +306,7 @@ def build_curve(
         return float(min(mins.min(), far_mins.min())), None
 
     # provisional curve with no flat start locates the last bad window
-    probe = PolarCurve(sig.copy(), k1=max(k1_min, 1), kmax=kmax, params=params)
+    probe = PolarCurve(sig.copy(), k1=max(k1_min, 1), kmax=kmax)
     probe_mins = window_minima(probe, near)
     bad_idx = np.nonzero(probe_mins <= kappa_threshold)[0]
     bad = int(near[bad_idx[-1]]) if bad_idx.size else 0
@@ -318,7 +314,7 @@ def build_curve(
 
     # flatten, then re-verify: the k1 window now blends circle -> arc
     for _ in range(64):
-        curve = PolarCurve(sig.copy(), k1=k1, kmax=kmax, params=params)
+        curve = PolarCurve(sig.copy(), k1=k1, kmax=kmax)
         mn, where = min_kappa_from(curve, k1)
         if mn > kappa_threshold:
             return curve

@@ -229,15 +229,6 @@ def _apex_hit(p, v, t, t_min) -> bool:
     return float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p)))
 
 
-def step(cone: EllipticCone, line: OrientedLine, from_surface: bool = False):
-    """One reflection: next hit plus specular bounce off grad Q."""
-    hit = next_intersection(cone, line, from_surface=from_surface)
-    if isinstance(hit, Escape):
-        return hit
-    n = unit(cone.gradient(hit))
-    return OrientedLine(hit, reflect_direction(line.dir, n))
-
-
 @dataclass
 class TrajectoryLog:
     """Everything a run produced: vertices, lines, per-segment integrals,

@@ -22,7 +22,6 @@ from .errors import DomainError, Escape, GrazingError, TangencyWarning
 # surfaced here; operations take overrides where it makes sense.
 UNIT_TOL = 1e-12          # |norm(dir) - 1| allowed for a Direction
 GRAZING_TOL = 1e-12       # |<v,n>| below this refuses to reflect
-ROOT_G_TOL = 1e-13        # bisection target on the radial gap G
 T_MIN_FACTOR = 1e-9       # t_min = factor * |base| excludes the current vertex
 SCAN_FACTOR = 1e-2        # coarse-scan step as a fraction of the length scale
 BRACKET_WARN = 1e-10      # bracket narrower than this (x scale) warns tangency
@@ -302,8 +301,8 @@ class GeneralCone:
     """Cone {t * (rho(xi) cos xi, rho(xi) sin xi, 1) : t > 0} over a polar
     section with apex at the origin and axis +x3.
 
-    ``section`` must provide polar(xi) -> (rho, rho', rho'') for scalar or
-    array xi.
+    ``section`` must provide polar(xi) -> (rho, rho', rho'') and
+    deviation(xi) -> (rho - 1, rho', rho'') for scalar or array xi.
     """
 
     section: object
@@ -311,15 +310,6 @@ class GeneralCone:
     def surface_point(self, xi: float, t: float) -> np.ndarray:
         r = float(self.section.polar(xi)[0])
         return t * np.array([r * math.cos(xi), r * math.sin(xi), 1.0])
-
-    def radial_gap(self, point) -> float:
-        """G(x) = |x_perp|/x3 - rho(angle): negative strictly inside."""
-        x = np.asarray(point, dtype=float)
-        if x[2] <= 0.0:
-            return math.inf
-        xi = math.atan2(x[1], x[0])
-        r = float(self.section.polar(xi)[0])
-        return math.hypot(x[0], x[1]) / x[2] - r
 
     def normal_at(self, point) -> np.ndarray:
         """Unit surface normal n ~ e1 x e2 with e1 the ruling through the
@@ -344,82 +334,68 @@ def _escapes(cone: GeneralCone, direction: np.ndarray) -> bool:
     return math.hypot(v[0], v[1]) / v[2] <= rho
 
 
-def _make_gap(cone: GeneralCone, p: np.ndarray, v: np.ndarray,
-              p_tail: Optional[np.ndarray] = None):
+def _make_gap(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray, v: np.ndarray):
     """Compensated sign function of x^2 + y^2 - z^2 rho(xi)^2 along the ray.
 
-    Positive outside the solid cone.  Used for the bisection refinement;
-    the coarse scan keeps the cheap radial gap.  ``p_tail`` carries the
-    double-double tail of the base point when the caller tracks one.
+    Negative strictly inside the solid cone, positive outside it, and +inf
+    at or below the apex plane z <= 0, where the other nappe would give a
+    spurious negative value.  ``p_tail`` is the double-double tail of the
+    base point (zero for a plain line).
     """
-    section = cone.section
-    has_dev = hasattr(section, "deviation")
+    deviation = cone.section.deviation
     p0, p1, p2 = float(p[0]), float(p[1]), float(p[2])
-    l0 = l1 = l2 = 0.0
-    if p_tail is not None:
-        l0, l1, l2 = float(p_tail[0]), float(p_tail[1]), float(p_tail[2])
+    l0, l1, l2 = float(p_tail[0]), float(p_tail[1]), float(p_tail[2])
     v0, v1, v2 = float(v[0]), float(v[1]), float(v[2])
 
     def gap(t: float) -> float:
+        zh, zl = _dd_ray_coord(p2, l2, t, v2)
+        if zh <= 0.0:
+            return math.inf
         xh, xl = _dd_ray_coord(p0, l0, t, v0)
         yh, yl = _dd_ray_coord(p1, l1, t, v1)
-        zh, zl = _dd_ray_coord(p2, l2, t, v2)
         sh, sl = _dd_add(*_dd_sq(xh, xl), *_dd_sq(yh, yl))
         z2h, z2l = _dd_sq(zh, zl)
         nh, nl = _dd_add(sh, sl, -z2h, -z2l)
-        xi = math.atan2(yh, xh)
-        if has_dev:
-            dev = float(section.deviation(xi)[0])
-            return (nh + nl) - z2h * (2.0 * dev + dev * dev)
-        rho = float(section.polar(xi)[0])
-        return (nh + nl) - z2h * (rho * rho - 1.0)
+        dev = float(deviation(math.atan2(yh, xh))[0])
+        return (nh + nl) - z2h * (2.0 * dev + dev * dev)
 
     return gap
 
 
-def _intersect_ray(
-    cone: GeneralCone,
-    p: np.ndarray,
-    v: np.ndarray,
-    p_tail: Optional[np.ndarray],
-    t_min: Optional[float],
-    scan_factor: float,
-) -> Optional[float]:
+def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
+                   v: np.ndarray) -> Optional[float]:
     """Root t of the surface crossing, or None when the ray escapes.
 
-    Brackets the sign change of G(t) = |perp|/x3 - rho(angle) by a coarse
-    scan, then bisects the compensated gap.  The solid cone is convex, so
-    G has a single sign change on the forward ray and any bracket is safe.
+    Brackets the sign change of the compensated gap by a coarse scan, then
+    bisects it to the last bit.  The solid cone is convex, so the gap has a
+    single sign change on the forward ray and any bracket is safe.
     """
     scale = max(float(np.linalg.norm(p)), 1e-12)
-    if t_min is None:
-        t_min = T_MIN_FACTOR * scale
+    t_min = T_MIN_FACTOR * scale
 
     if _escapes(cone, v):
         return None
 
-    def G(t: float) -> float:
-        return cone.radial_gap(p + t * v)
-
+    gap = _make_gap(cone, p, p_tail, v)
     lo = t_min
-    g_lo = G(lo)
-    step = scan_factor * scale
+    g_lo = gap(lo)
+    step = SCAN_FACTOR * scale
     # The base may sit on the surface (post-reflection): walk forward until
     # strictly inside before hunting for the exit crossing.
     budget = 64
     while g_lo >= 0.0 and budget > 0:
         lo_new = lo * 8.0
-        if G(lo_new) >= g_lo and lo_new > 64 * t_min:
+        g_new = gap(lo_new)
+        if g_new >= g_lo and lo_new > 64 * t_min:
             break
-        lo = lo_new
-        g_lo = G(lo)
+        lo, g_lo = lo_new, g_new
         budget -= 1
     if g_lo >= 0.0:
         warnings.warn("could not step strictly inside the cone", TangencyWarning)
         return None
 
     hi = lo + step
-    g_hi = G(hi)
+    g_hi = gap(hi)
     scans = 0
     while g_hi < 0.0:
         lo, g_lo = hi, g_hi
@@ -428,67 +404,20 @@ def _intersect_ray(
         hi = lo + step if scans < 256 else lo * 2.0
         if hi > 1e12 * scale:
             return None
-        g_hi = G(hi)
+        g_hi = gap(hi)
 
     if hi - lo < BRACKET_WARN * scale:
         warnings.warn("degenerate bracket: near-tangent ray", TangencyWarning)
-
-    # refine on the compensated gap: same sign structure, noise floor far
-    # below ROOT_G_TOL even for grazing chords
-    N = _make_gap(cone, p, v, p_tail)
-    n_lo, n_hi = N(lo), N(hi)
-    if n_lo >= 0.0:
-        return lo
-    if n_hi < 0.0:
-        return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        n_mid = N(mid)
-        if n_mid < 0.0:
-            lo, n_lo = mid, n_mid
+        g_mid = gap(mid)
+        if g_mid < 0.0:
+            lo, g_lo = mid, g_mid
         else:
-            hi, n_hi = mid, n_mid
-    return lo if abs(n_lo) <= abs(n_hi) else hi
-
-
-def cone_next_intersection(
-    cone: GeneralCone,
-    line: OrientedLine,
-    t_min: Optional[float] = None,
-    g_tol: float = ROOT_G_TOL,
-    scan_factor: float = SCAN_FACTOR,
-) -> Union[np.ndarray, Escape]:
-    """First surface hit of the forward ray, or Escape.
-
-    The returned point satisfies |G| < g_tol; the bisection actually runs
-    to the last representable bit, far below that target.
-    """
-    if line.n != 3:
-        raise DomainError("general-cone stepping is implemented in R^3")
-    p, v = line.base, line.dir
-    t_hit = _intersect_ray(cone, p, v, None, t_min, scan_factor)
-    if t_hit is None:
-        return Escape()
-    hit = p + t_hit * v
-    if float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p))):
-        return Escape(apex=True)
-    return hit
-
-
-def cone_step(
-    cone: GeneralCone,
-    line: OrientedLine,
-    t_min: Optional[float] = None,
-) -> Union[OrientedLine, Escape]:
-    """Advance one reflection: intersect, reflect off the surface normal."""
-    hit = cone_next_intersection(cone, line, t_min=t_min)
-    if isinstance(hit, Escape):
-        return hit
-    n = cone.normal_at(hit)
-    out = reflect_direction(line.dir, n)
-    return OrientedLine(hit, out)
+            hi, g_hi = mid, g_mid
+    return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
 @dataclass(frozen=True)
@@ -498,7 +427,7 @@ class PreciseLine:
     Grazing reflections amplify any off-surface error of the base by
     1/<v,n> (10^3..10^5 on the accumulating trajectory), so long replays
     keep the base compensated; directions stay plain float64, their
-    errors are not grazing-amplified.
+    errors are not grazing-amplified.  A plain line is one with a zero tail.
     """
 
     base: np.ndarray
@@ -513,24 +442,20 @@ class PreciseLine:
         return OrientedLine(self.base, self.dir)
 
 
-def cone_step_precise(
-    cone: GeneralCone,
-    state: PreciseLine,
-    t_min: Optional[float] = None,
-    scan_factor: float = SCAN_FACTOR,
-) -> Union[PreciseLine, Escape]:
-    """cone_step with a compensated base point."""
+def cone_step_precise(cone: GeneralCone, state: PreciseLine) -> Union[PreciseLine, Escape]:
+    """Advance one reflection: first surface hit of the forward ray, with a
+    compensated hit point, reflected off the surface normal; or Escape."""
     p, v = state.base, state.dir
-    t_hit = _intersect_ray(cone, p, v, state.base_tail, t_min, scan_factor)
+    if p.size != 3:
+        raise DomainError("general-cone stepping is implemented in R^3")
+    t_hit = _intersect_ray(cone, p, state.base_tail, v)
     if t_hit is None:
         return Escape()
     hit = np.empty(3)
     tail = np.empty(3)
     for i in range(3):
-        h, l = _dd_ray_coord(float(p[i]), float(state.base_tail[i]), t_hit, float(v[i]))
-        hit[i], tail[i] = h, l
+        hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(state.base_tail[i]), t_hit, float(v[i]))
     if float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p))):
         return Escape(apex=True)
-    n = cone.normal_at(hit)
-    out = reflect_direction(v, n)
+    out = reflect_direction(v, cone.normal_at(hit))
     return PreciseLine(hit, tail, out)

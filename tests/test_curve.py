@@ -270,6 +270,14 @@ def test_replay_infinite_length_branch(built_curve):
     assert rep.simulated_length > 0.0
 
 
+def test_replay_deep_start(built_curve):
+    # at k = 7e4 the deviation (~1e-19) is below the epsilon of rho = 1 + dev,
+    # so only a compensated gap can find the first step strictly inside
+    rep = replay(built_curve, SpiralParams(a=0.0), steps=8, start_k=70_000, strict=True)
+    assert not rep.escaped
+    assert rep.max_vertex_rel_error < 1e-7
+
+
 def test_replay_rejects_bad_start(built_curve):
     with pytest.raises(DomainError):
         replay(built_curve, SpiralParams(a=0.0), steps=10, start_k=built_curve.k1 - 1)

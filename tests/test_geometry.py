@@ -9,12 +9,12 @@ from conebilliards.geometry import (
     CircularSection,
     GeneralCone,
     OrientedLine,
+    PreciseLine,
     ReflectionRecord,
     alpha_theta_residuals,
     angle_between,
     angular_momenta,
-    cone_next_intersection,
-    cone_step,
+    cone_step_precise,
     line_distance_sq,
     momenta3,
     momentum_pairs,
@@ -263,35 +263,74 @@ def circular_cone():
     return GeneralCone(CircularSection(1.0))
 
 
+def _step(cone, line):
+    return cone_step_precise(cone, PreciseLine.from_line(line))
+
+
+def _circular_root(p, v):
+    """First t > 0 with x^2 + y^2 = z^2 and z > 0 on p + t v, or None."""
+    a = v[0] ** 2 + v[1] ** 2 - v[2] ** 2
+    b = p[0] * v[0] + p[1] * v[1] - p[2] * v[2]
+    c = p[0] ** 2 + p[1] ** 2 - p[2] ** 2
+    disc = b * b - a * c
+    if disc < 0.0:
+        return None
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    roots = [c / q] + ([q / a] if a != 0.0 else [])
+    ahead = [t for t in roots if t > 0.0 and p[2] + t * v[2] > 0.0]
+    return min(ahead) if ahead else None
+
+
 def test_circular_cone_hit(circular_cone):
     line = OrientedLine([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    hit = cone_next_intersection(circular_cone, line)
-    assert not isinstance(hit, Escape)
-    assert np.allclose(hit, [1.0, 0.0, 1.0], atol=1e-12)
+    stepped = _step(circular_cone, line)
+    assert not isinstance(stepped, Escape)
+    assert np.allclose(stepped.base, [1.0, 0.0, 1.0], atol=1e-12)
+    # random starts inside against the closed-form quadric root
+    rng = np.random.Generator(np.random.Philox(7301))
+    hits = escapes = 0
+    for _ in range(300):
+        z = rng.uniform(0.5, 2.0)
+        r = 0.95 * z * math.sqrt(rng.uniform())
+        phi = rng.uniform(-math.pi, math.pi)
+        p = np.array([r * math.cos(phi), r * math.sin(phi), z])
+        v = unit(rng.normal(size=3))
+        stepped = _step(circular_cone, OrientedLine(p, v))
+        t = _circular_root(p, v)
+        if t is None:
+            assert isinstance(stepped, Escape)
+            escapes += 1
+            continue
+        assert not isinstance(stepped, Escape)
+        expected = p + t * v
+        err = np.linalg.norm(stepped.base - expected) / np.linalg.norm(expected)
+        assert err < 1e-12
+        hits += 1
+    assert hits > 100 and escapes > 10
 
 
 def test_circular_cone_ruling_escape(circular_cone):
     ruling = unit([1.0, 0.0, 1.0])
     line = OrientedLine([0.0, 0.0, 1.0], ruling)
-    assert isinstance(cone_next_intersection(circular_cone, line), Escape)
+    assert isinstance(_step(circular_cone, line), Escape)
 
 
 def test_circular_cone_axis_escape(circular_cone):
     line = OrientedLine([0.1, 0.0, 1.0], [0.0, 0.0, 1.0])
-    assert isinstance(cone_next_intersection(circular_cone, line), Escape)
+    assert isinstance(_step(circular_cone, line), Escape)
 
 
 def test_circular_cone_symmetric_chord(circular_cone):
     # horizontal chord through the axis plane: the 45-degree wall turns
     # (1,0,0) into (0,0,1), symmetric under x -> -x
     line = OrientedLine([-1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    stepped = cone_step(circular_cone, line)
+    stepped = _step(circular_cone, line)
     assert not isinstance(stepped, Escape)
     assert np.allclose(stepped.base, [1.0, 0.0, 1.0], atol=1e-10)
     assert np.allclose(stepped.dir, [0.0, 0.0, 1.0], atol=1e-10)
     # tilted chord in the same plane: reflection swaps the (x1, x3) slots
     line = OrientedLine([-1.0, 0.0, 1.0], unit([1.0, 0.0, 0.2]))
-    stepped = cone_step(circular_cone, line)
+    stepped = _step(circular_cone, line)
     vin, vout = line.dir, stepped.dir
     assert vout[1] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(vout, [vin[2], 0.0, vin[0]], atol=1e-10)
@@ -303,10 +342,10 @@ def test_cone_step_preserves_distance(circular_cone, rng):
         d = unit(rng.normal(size=3))
         line = OrientedLine(base, d)
         before = line_distance_sq(line)
-        stepped = cone_step(circular_cone, line)
+        stepped = _step(circular_cone, line)
         if isinstance(stepped, Escape) or before < 1e-12:
             continue
-        after = line_distance_sq(stepped)
+        after = line_distance_sq(stepped.as_line())
         assert abs(after - before) < 1e-10 * max(1.0, before)
 
 
