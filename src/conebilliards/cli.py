@@ -142,8 +142,9 @@ def cmd_elliptic_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spiral_verify(args) -> int:
-    if args.kmax < 2:
-        raise _fail(f"need --kmax >= 2, got {args.kmax}")
+    if args.kmax < 9:
+        # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
+        raise _fail(f"need --kmax >= 9 for the sigma asymptotics check, got {args.kmax}")
     try:
         params = SpiralParams(a=args.a)
     except DomainError as exc:
@@ -304,7 +305,13 @@ def _curve_svg(curve) -> str:
     return svgplot.document([(main, (0.0, 0.0)), (zoom, (0.0, 570.0))], 560, 860)
 
 
+def _check_grid(args) -> None:
+    if args.grid < 4:
+        raise _fail(f"need --grid >= 4, got {args.grid}")
+
+
 def cmd_curve_build(args) -> int:
+    _check_grid(args)
     t0 = time.monotonic()
     try:
         curve = _build_curve_from_args(args)
@@ -337,6 +344,7 @@ def cmd_curve_build(args) -> int:
 
 
 def cmd_curve_export(args) -> int:
+    _check_grid(args)
     try:
         curve = _build_curve_from_args(args)
     except (ConstructionError, DomainError) as exc:
@@ -358,6 +366,8 @@ def cmd_curve_export(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if not 1 <= args.steps <= 10_000:
+        raise _fail(f"need 1 <= --steps <= 10000, got {args.steps}")
     t0 = time.monotonic()
     try:
         params = SpiralParams(a=args.a)
@@ -393,6 +403,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_ndim_check(args) -> int:
+    if args.steps < 1 or args.grid < 1:
+        raise _fail(f"need --steps >= 1 and --grid >= 1, got {args.steps}, {args.grid}")
     t0 = time.monotonic()
     try:
         curve = _build_curve_from_args(args)

@@ -55,28 +55,48 @@ def _hpp(z):
     return out
 
 
+def _bump_interior(h, hb, hp, hbp, hpp, hbpp):
+    """(a, a', a'') on the open middle third, from h, h', h'' at s (h, hp,
+    hpp) and at 1 - s (hb, hbp, hbpp)."""
+    den = h + hb
+    psi = h / den
+    num = hp * hb + h * hbp
+    psip = num / (den * den)
+    psipp = ((hpp * hb - h * hbpp) * den - 2.0 * num * (hp - hbp)) / den**3
+    return 1.0 - psi, -3.0 * psip, -9.0 * psipp
+
+
+def _bump_scalar(t: float):
+    """bump(t) for one float, with the math module."""
+    s = min(max(3.0 * t - 1.0, 0.0), 1.0)
+    if s <= 0.0:
+        return 1.0, 0.0, 0.0
+    if s >= 1.0:
+        return 0.0, 0.0, 0.0
+    sb = 1.0 - s
+    h = math.exp(-1.0 / s)
+    hb = math.exp(-1.0 / sb)
+    return _bump_interior(
+        h, hb,
+        h / (s * s), hb / (sb * sb),
+        h * (1.0 / s**4 - 2.0 / s**3), hb * (1.0 / sb**4 - 2.0 / sb**3),
+    )
+
+
 def bump(t):
     """C-infinity plateau a(t): 1 for t <= 1/3, 0 for t >= 2/3.
 
     Built from the exp(-1/s) partition of unity on the middle third.
-    Returns (a, a', a'').
+    Returns (a, a', a''), as floats for a scalar t.
     """
-    t_arr = np.asarray(t, dtype=float)
-    s = np.clip(3.0 * t_arr - 1.0, 0.0, 1.0)
-    h, hb = _h(s), _h(1.0 - s)
-    hp, hbp = _hp(s), _hp(1.0 - s)
-    hpp, hbpp = _hpp(s), _hpp(1.0 - s)
-    den = h + hb
-    psi = h / den
-    num = hp * hb + h * hbp
-    psip = num / den**2
-    psipp = ((hpp * hb - h * hbpp) * den - 2.0 * num * (hp - hbp)) / den**3
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return _bump_scalar(float(t))
+    s = np.clip(3.0 * np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
+    a, ap, app = _bump_interior(_h(s), _h(1.0 - s), _hp(s), _hp(1.0 - s), _hpp(s), _hpp(1.0 - s))
     interior = (s > 0.0) & (s < 1.0)
-    a = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, 1.0 - psi))
-    ap = np.where(interior, -3.0 * psip, 0.0)
-    app = np.where(interior, -9.0 * psipp, 0.0)
-    if np.ndim(t) == 0:
-        return float(a), float(ap), float(app)
+    a = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, a))
+    ap = np.where(interior, ap, 0.0)
+    app = np.where(interior, app, 0.0)
     return a, ap, app
 
 
@@ -97,26 +117,25 @@ def bump_constant() -> float:
 # unit circle through (r, xi) = (1, 0) with tilted inward normal
 # ---------------------------------------------------------------------------
 
-def _circle_dev(x, s):
+def _circle_dev(x, s, m=np):
     """Deflated polar circle: (g - 1, dg/dxi, d2g/dxi2).
 
     g solves |g (cos x, sin x) - c(s)|^2 = 1 with center c(s) at unit
     distance from q = (1, 0) along the tilted inward normal; the branch
     with g(0, s) = 1 is g = u + sqrt(u^2 + 2 cos s - 1).  g - 1 is
     assembled without forming g itself, keeping full relative precision
-    for deviations down to ~1e-300.
+    for deviations down to ~1e-300.  ``m`` is ``np`` for float arrays and
+    ``math`` for floats.
     """
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    sh = np.sin(s / 2.0)
+    sh = m.sin(s / 2.0)
     one_minus_cos = 2.0 * sh * sh
-    u = np.cos(x) * one_minus_cos - np.sin(x) * np.sin(s)
+    u = m.cos(x) * one_minus_cos - m.sin(x) * m.sin(s)
     two_cos_m1 = 1.0 - 2.0 * one_minus_cos
     rad = u * u + two_cos_m1
-    root = np.sqrt(rad)
+    root = m.sqrt(rad)
     g = u + root
     dev = u + (u * u - 4.0 * sh * sh) / (root + 1.0)
-    ux = -np.sin(x) * one_minus_cos - np.cos(x) * np.sin(s)
+    ux = -m.sin(x) * one_minus_cos - m.cos(x) * m.sin(s)
     gx = ux * g / root
     gxx = -u * g / root + ux * ux * two_cos_m1 / rad / root
     return dev, gx, gxx
@@ -157,6 +176,24 @@ class ArcPatch:
 # the blended curve
 # ---------------------------------------------------------------------------
 
+def _window_dev(x, kf, sk, sk1, m):
+    """(rho - 1, rho', rho'') on the window [xi_{k+1}, xi_k], kf = k: the
+    arcs through q_k and q_{k+1} blended by the plateau.  ``m`` is ``np``
+    for float arrays and ``math`` for floats."""
+    xik = 1.0 / m.sqrt(kf)
+    xik1 = 1.0 / m.sqrt(kf + 1.0)
+    width = xik - xik1
+    a, ap, app = bump((x - xik1) / width)  # bump clamps to the plateaus
+    ap = ap / width
+    app = app / (width * width)
+    dk, gkx, gkxx = _circle_dev(x - xik, sk, m)
+    dq, gqx, gqxx = _circle_dev(x - xik1, sk1, m)
+    ddiff = dq - dk
+    return (dk + ddiff * a,
+            gkx + (gqx - gkx) * a + ddiff * ap,
+            gkxx + (gqxx - gkxx) * a + 2.0 * (gqx - gkx) * ap + ddiff * app)
+
+
 class PolarCurve:
     """Evaluable rho(xi) with two derivatives on (-pi, pi].
 
@@ -177,40 +214,36 @@ class PolarCurve:
 
     # -- evaluation ------------------------------------------------------------
     def deviation(self, xi_val):
-        """(rho - 1, rho', rho''), vectorized, full precision in the tail."""
+        """(rho - 1, rho', rho''), full precision in the tail.
+
+        A scalar xi is evaluated with the math module and gives floats; an
+        array takes the vectorized path, the scalar one's test oracle.
+        """
+        if isinstance(xi_val, float) or np.ndim(xi_val) == 0:
+            x = float(xi_val)
+            if not 0.0 < x <= 1.0:
+                return 0.0, 0.0, 0.0
+            xx = x * x
+            if xx == 0.0 or 1.0 / xx > self.kmax:  # beyond horizon: |rho-1| < 1e-19
+                return 0.0, 0.0, 0.0
+            k = int(1.0 / xx)
+            return _window_dev(x, float(k), self._sig.item(k), self._sig.item(k + 1), math)
         x = np.asarray(xi_val, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         d = np.zeros_like(x)
         d1 = np.zeros_like(x)
         d2 = np.zeros_like(x)
         m = (x > 0.0) & (x <= 1.0)
         if m.any():
             xm = x[m]
-            with np.errstate(over="ignore"):
+            # x * x underflows to 0 for x below ~1e-162: deep either way
+            with np.errstate(over="ignore", divide="ignore"):
                 inv = 1.0 / (xm * xm)
             deep = inv > self.kmax  # beyond horizon: |rho-1| < 1e-19
             k = np.where(deep, float(self.kmax), np.floor(inv)).astype(np.int64)
-            kf = k.astype(float)
-            xik = 1.0 / np.sqrt(kf)
-            xik1 = 1.0 / np.sqrt(kf + 1.0)
-            width = xik - xik1
-            a, ap, app = bump(np.clip((xm - xik1) / width, 0.0, 1.0))
-            ap = ap / width
-            app = app / (width * width)
-            sk = self._sig[k]
-            sk1 = self._sig[k + 1]
-            dk, gkx, gkxx = _circle_dev(xm - xik, sk)
-            dq, gqx, gqxx = _circle_dev(xm - xik1, sk1)
-            ddiff = dq - dk
-            dev = dk + ddiff * a
-            dev1 = gkx + (gqx - gkx) * a + ddiff * ap
-            dev2 = gkxx + (gqxx - gkxx) * a + 2.0 * (gqx - gkx) * ap + ddiff * app
+            dev, dev1, dev2 = _window_dev(xm, k.astype(float), self._sig[k], self._sig[k + 1], np)
             d[m] = np.where(deep, 0.0, dev)
             d1[m] = np.where(deep, 0.0, dev1)
             d2[m] = np.where(deep, 0.0, dev2)
-        if scalar:
-            return float(d[0]), float(d1[0]), float(d2[0])
         return d, d1, d2
 
     def polar(self, xi_val):

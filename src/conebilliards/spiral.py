@@ -156,7 +156,7 @@ def shared_tail_table(kmax: int) -> TailTable:
     return _SHARED_TABLE
 
 
-def k0(a: float, table: Optional[TailTable] = None) -> int:
+def k0(a: float) -> int:
     """Smallest k with a - S_k > -pi/2, so t_k(a) > 0 from there on."""
     if not (-HALF_PI < a <= HALF_PI):
         raise DomainError("parameter a must lie in (-pi/2, pi/2]")
@@ -179,16 +179,13 @@ def k0(a: float, table: Optional[TailTable] = None) -> int:
 
 @dataclass(frozen=True)
 class SpiralParams:
-    """Construction parameter a in (-pi/2, pi/2] plus tail tolerance."""
+    """Construction parameter a in (-pi/2, pi/2]."""
 
     a: float
-    tail_tol: float = 1e-15
 
     def __post_init__(self):
         if not (-HALF_PI < self.a <= HALF_PI):
             raise DomainError("parameter a must lie in (-pi/2, pi/2]")
-        if self.tail_tol <= 0.0:
-            raise DomainError("tail_tol must be positive")
 
     @property
     def k0(self) -> int:
@@ -272,7 +269,7 @@ class SpiralTrajectory:
         self.a = float(a)
         self.table = table if table is not None and table.kmax >= kmax else shared_tail_table(kmax)
         self.kmax = kmax
-        self.k0 = k0(a, self.table)
+        self.k0 = k0(a)
 
     # -- scalar building blocks ------------------------------------------------
     def tail(self, k):

@@ -66,7 +66,13 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["elliptic", "simulate", "--count", "0"],
     ["elliptic", "simulate", "--count", "-3"],
-    ["spiral", "verify", "--kmax", "1"],
+    ["spiral", "verify", "--kmax", "8"],
+    ["ndim", "check", "--steps", "0"],
+    ["ndim", "check", "--grid", "0"],
+    ["curve", "build", "--grid", "3"],
+    ["curve", "export", "--grid", "0"],
+    ["replay", "--steps", "0"],
+    ["replay", "--steps", "10001"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -83,6 +89,10 @@ def test_spiral_verify_passes(tmp_path):
     assert data["passed"] is True
     assert data["measured"]["worst_distance_deviation"] < 1e-10
     assert data["checks"]["length_infinite"] is False
+    # the smallest kmax whose sigma asymptotics check can pass
+    assert main(["spiral", "verify", "--a", "0", "--kmax", "9",
+                 "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["passed"] is True
 
 
 def test_spiral_verify_infinite_length(tmp_path):

@@ -241,6 +241,29 @@ def test_deep_tail_is_identically_one(built_curve):
     assert np.all(r == 1.0) and np.all(r1 == 0.0) and np.all(r2 == 0.0)
 
 
+def test_scalar_deviation_matches_array_path(built_curve):
+    # the math-module scalar path against the vectorized one, point by point
+    rng = np.random.default_rng(20261018)
+    kmax = built_curve.kmax
+    ks = rng.integers(1, kmax + 1, 250).astype(float)
+    junctions = spiral.xi(ks)
+    pts = np.concatenate([
+        1.0 - rng.uniform(0.0, 1.0, 2000),
+        10.0 ** rng.uniform(-3.0, 0.0, 2000),
+        junctions * (1.0 + 1e-9),
+        junctions * (1.0 - 1e-9),
+        [0.0, -0.1, 1.0, 1.5, math.nan, 1e-300,
+         float(spiral.xi(kmax)), float(spiral.xi(kmax + 1))],
+    ])
+    want = np.stack(built_curve.deviation(pts), axis=-1)
+    got = np.empty_like(want)
+    for i, x in enumerate(pts.tolist()):
+        vals = built_curve.deviation(x)
+        assert all(type(v) is float for v in vals)
+        got[i] = vals
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
