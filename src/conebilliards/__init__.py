@@ -18,13 +18,11 @@ from .geometry import (
     GeneralCone,
     OrientedLine,
     PreciseLine,
-    ReflectionRecord,
     alpha_theta_residuals,
     angle_between,
     angular_momenta,
     cone_step_precise,
     line_distance_sq,
-    momenta3,
     projected_distance_sq,
     reflect_direction,
     simulate_wedge,
@@ -36,8 +34,8 @@ from .elliptic import (
     IntegralPair,
     TrajectoryLog,
     caustic_tangency_residual,
+    first_integrals,
     h_identity_residual,
-    integral_I2,
     integral_pair,
     min_vertex_angle,
     next_intersection,

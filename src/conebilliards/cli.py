@@ -60,18 +60,16 @@ def _fail(msg: str) -> "SystemExit":
 def _one_trajectory(cone, seed: int, index: int) -> dict:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     log = elliptic.run_random(cone, rng)
-    pair0 = log.integrals[0]
+    integrals = log.integrals()
+    c1, c2 = integrals.I1[0], integrals.I2[0]
     th = log.thetas()
     d1, d2 = log.integral_drift()
-    if pair0.I2 > 0.0:
-        bound = elliptic.reflection_bound(cone, pair0.I1, pair0.I2)
-    else:
-        bound = -1
+    bound = elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1
     return {
         "index": index,
         "seed": seed,
-        "c1": pair0.I1,
-        "c2": pair0.I2,
+        "c1": c1,
+        "c2": c2,
         "reflections": log.reflection_count,
         "bound": bound,
         "max_theta": float(th.max()) if th.size else 0.0,
@@ -256,15 +254,19 @@ def cmd_spiral_vertices(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_curve_from_args(args):
-    params = SpiralParams(a=args.a)
-    return curve_mod.build_curve(params, kmax=args.kmax, k1_min=args.k1_min)
+    """The section curve for --a, --kmax and --k1-min; exits 2 if it cannot be built."""
+    try:
+        return curve_mod.build_curve(SpiralParams(a=args.a), kmax=args.kmax, k1_min=args.k1_min)
+    except (ConstructionError, DomainError) as exc:
+        raise _fail(f"curve construction failed: {exc}")
 
 
 def _curve_table(curve, grid: int) -> dict:
+    side = grid // 4  # points on each flat side; the rest resolve the accumulation at xi = 0
     xs = np.concatenate([
-        np.linspace(-math.pi + 1e-9, 0.0, grid // 4),
-        np.geomspace(1e-6, 1.0, grid // 2),
-        np.linspace(1.0 + 1e-9, math.pi, grid // 4),
+        np.linspace(-math.pi + 1e-9, 0.0, side),
+        np.geomspace(1e-6, 1.0, grid - 2 * side),
+        np.linspace(1.0 + 1e-9, math.pi, side),
     ])
     r, r1, r2 = curve.polar(xs)
     kap = curve.curvature(xs)
@@ -313,11 +315,7 @@ def _check_grid(args) -> None:
 def cmd_curve_build(args) -> int:
     _check_grid(args)
     t0 = time.monotonic()
-    try:
-        curve = _build_curve_from_args(args)
-    except (ConstructionError, DomainError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    curve = _build_curve_from_args(args)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "curve.json").write_text(json.dumps(_curve_table(curve, args.grid)) + "\n")
@@ -345,11 +343,7 @@ def cmd_curve_build(args) -> int:
 
 def cmd_curve_export(args) -> int:
     _check_grid(args)
-    try:
-        curve = _build_curve_from_args(args)
-    except (ConstructionError, DomainError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
+    curve = _build_curve_from_args(args)
     table = _curve_table(curve, args.grid)
     if args.format == "csv":
         lines = ["xi,rho,drho,d2rho,kappa"]
@@ -369,12 +363,8 @@ def cmd_replay(args) -> int:
     if not 1 <= args.steps <= 10_000:
         raise _fail(f"need 1 <= --steps <= 10000, got {args.steps}")
     t0 = time.monotonic()
-    try:
-        params = SpiralParams(a=args.a)
-        curve = _build_curve_from_args(args)
-    except (ConstructionError, DomainError) as exc:
-        print(f"setup failed: {exc}", file=sys.stderr)
-        return 2
+    params = SpiralParams(a=args.a)
+    curve = _build_curve_from_args(args)
     try:
         rep = curve_mod.replay(curve, params, steps=args.steps, strict=True)
     except ReplayFailure as exc:
@@ -406,12 +396,8 @@ def cmd_ndim_check(args) -> int:
     if args.steps < 1 or args.grid < 1:
         raise _fail(f"need --steps >= 1 and --grid >= 1, got {args.steps}, {args.grid}")
     t0 = time.monotonic()
-    try:
-        curve = _build_curve_from_args(args)
-        section = ndim.LiftedSection(curve, n=args.n)
-    except (ConstructionError, DomainError) as exc:
-        print(f"setup failed: {exc}", file=sys.stderr)
-        return 2
+    curve = _build_curve_from_args(args)
+    section = ndim.LiftedSection(curve, n=args.n)
     try:
         rep = ndim.negdef_check(section, grid_target=args.grid, strict=True)
     except ConvexityFailure as exc:
@@ -439,12 +425,19 @@ def cmd_ndim_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--report", default=None, help="write the JSON run report here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=20250801)
-    p.add_argument("--tol", type=float, default=1e-10)
+_FLAGS = {
+    "--out": dict(default=None, help="output file or directory"),
+    "--report": dict(default=None, help="write the JSON run report here"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=20250801),
+    "--tol": dict(type=float, default=1e-10),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Attach the shared flags a command reads, and only those."""
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--semi-a", type=float, default=2.0)
     sim.add_argument("--semi-b", type=float, default=1.0)
     sim.add_argument("--count", type=int, default=1000)
-    _add_common(sim)
+    _add_flags(sim, "--out", "--report", "--format", "--seed")
     sim.set_defaults(func=cmd_elliptic_simulate)
     bnd = se.add_parser("bound", help="print the reflection bound for (c1, c2)")
     bnd.add_argument("--semi-a", type=float, default=2.0)
@@ -475,12 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = ss.add_parser("verify", help="distance/angle/length/sigma suites")
     ver.add_argument("--a", type=float, default=0.0)
     ver.add_argument("--kmax", type=int, default=100_000)
-    _add_common(ver)
+    _add_flags(ver, "--report", "--tol")
     ver.set_defaults(func=cmd_spiral_verify)
     vtx = ss.add_parser("vertices", help="emit the vertex table")
     vtx.add_argument("--a", type=float, default=0.0)
     vtx.add_argument("--kmax", type=int, default=1000)
-    _add_common(vtx)
+    _add_flags(vtx, "--out", "--format")
     vtx.set_defaults(func=cmd_spiral_vertices)
 
     pc = sub.add_parser("curve", help="build/export the C2 section curve")
@@ -490,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     bld.add_argument("--kmax", type=int, default=130_000)
     bld.add_argument("--k1-min", type=int, default=9)
     bld.add_argument("--grid", type=int, default=2000)
-    _add_common(bld)
+    _add_flags(bld, "--out", "--report")
     bld.set_defaults(func=cmd_curve_build)
     exp = sc.add_parser("export", help="emit the curve table")
     exp.add_argument("--a", type=float, default=0.0)
     exp.add_argument("--kmax", type=int, default=130_000)
     exp.add_argument("--k1-min", type=int, default=9)
     exp.add_argument("--grid", type=int, default=2000)
-    _add_common(exp)
+    _add_flags(exp, "--out", "--format")
     exp.set_defaults(func=cmd_curve_export)
 
     pr = sub.add_parser("replay", help="simulate on the built cone vs closed form")
@@ -505,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--steps", type=int, default=1000)
     pr.add_argument("--kmax", type=int, default=130_000)
     pr.add_argument("--k1-min", type=int, default=9)
-    _add_common(pr)
+    _add_flags(pr, "--report")
     pr.set_defaults(func=cmd_replay)
 
     pn = sub.add_parser("ndim", help="R^n convexity and embedding checks")
@@ -517,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--steps", type=int, default=1000)
     chk.add_argument("--kmax", type=int, default=130_000)
     chk.add_argument("--k1-min", type=int, default=9)
-    _add_common(chk)
+    _add_flags(chk, "--report")
     chk.set_defaults(func=cmd_ndim_check)
 
     return parser

@@ -303,8 +303,11 @@ def build_curve(
     k1 is the smallest index such that the sampled curvature of the
     (re)built curve exceeds ``kappa_threshold`` on every window k >= k1;
     windows up to ``detect_horizon`` are checked densely and a geometric
-    sample of windows beyond it up to kmax.
+    sample of windows beyond it up to kmax.  At least one window must lie
+    above k1 and below kmax, or the curve would be the plain unit circle.
     """
+    if max(k1_min, 1) > kmax - 2:
+        raise ConstructionError(f"no window above k1 >= {max(k1_min, 1)} fits below kmax = {kmax}")
     sig = np.zeros(kmax + 2)
     sig[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
     if np.abs(sig).max() >= SIGMA_DOMAIN:
@@ -347,14 +350,14 @@ def build_curve(
 
     # flatten, then re-verify: the k1 window now blends circle -> arc
     for _ in range(64):
+        if k1 > kmax - 2:
+            break
         curve = PolarCurve(sig.copy(), k1=k1, kmax=kmax)
         mn, where = min_kappa_from(curve, k1)
         if mn > kappa_threshold:
             return curve
         k1 = int(where) + 1
-        if k1 > kmax:
-            break
-    raise ConstructionError(f"no admissible k1 <= {kmax} for threshold {kappa_threshold}")
+    raise ConstructionError(f"no admissible k1 <= {kmax - 2} for threshold {kappa_threshold}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, Escape, GrazingError, TangencyWarning, Termination
 from .geometry import (
     OrientedLine,
-    ReflectionRecord,
     angle_between,
-    line_distance_sq,
-    momenta3,
+    angular_momenta,
     reflect_direction,
     unit,
 )
@@ -73,20 +71,31 @@ class EllipticCone:
         return x[2] > 0.0 and self.quadric(x) < -margin
 
 
+def first_integrals(cone: EllipticCone, x, v) -> tuple:
+    """(I1, I2) of the line through x with direction v.
+
+    x and v are one line's (3,) arrays or stacks of lines, (n, 3) arrays;
+    the m_ij are taken along the last axis.
+    """
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    m12 = x0 * v1 - x1 * v0
+    m13 = x0 * v2 - x2 * v0
+    m23 = x1 * v2 - x2 * v1
+    return (m12 * m12 + m13 * m13 + m23 * m23,
+            cone.a**2 * (m23 * m23) + cone.b**2 * (m13 * m13) - m12 * m12)
+
+
 @dataclass(frozen=True)
 class IntegralPair:
+    """(I1, I2): floats for one line, arrays for the lines of a trajectory."""
+
     I1: float
     I2: float
 
 
-def integral_I2(cone: EllipticCone, line: OrientedLine) -> float:
-    """a^2 m23^2 + b^2 m13^2 - m12^2."""
-    m23, m13, m12 = momenta3(line)
-    return cone.a**2 * m23**2 + cone.b**2 * m13**2 - m12**2
-
-
 def integral_pair(cone: EllipticCone, line: OrientedLine) -> IntegralPair:
-    return IntegralPair(I1=line_distance_sq(line), I2=integral_I2(cone, line))
+    return IntegralPair(*first_integrals(cone, line.base, line.dir))
 
 
 def h_identity_residual(cone: EllipticCone, u, v) -> float:
@@ -105,10 +114,7 @@ def h_identity_residual(cone: EllipticCone, u, v) -> float:
     if np.any(nrm < 1e-300):
         raise DomainError("(u1, u2) must be nonzero")
     x = np.stack([a * u1, b * u2, nrm], axis=-1)
-    m12 = x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
-    m13 = x[..., 0] * v[..., 2] - x[..., 2] * v[..., 0]
-    m23 = x[..., 1] * v[..., 2] - x[..., 2] * v[..., 1]
-    lhs = a**2 * m23**2 + b**2 * m13**2 - m12**2
+    lhs = first_integrals(cone, x, v)[1]
     s1 = a * v[..., 0] + u1 * v[..., 2] / nrm
     s2 = b * v[..., 1] + u2 * v[..., 2] / nrm
     h11 = -(b**2) * u1**2 - (1.0 + b**2) * u2**2
@@ -119,46 +125,31 @@ def h_identity_residual(cone: EllipticCone, u, v) -> float:
     return float(res) if res.ndim == 0 else res
 
 
-def _I1(cone, x, v):
-    m12 = x[0] * v[1] - x[1] * v[0]
-    m13 = x[0] * v[2] - x[2] * v[0]
-    m23 = x[1] * v[2] - x[2] * v[1]
-    return m12 * m12 + m13 * m13 + m23 * m23
-
-
-def _I2(cone, x, v):
-    m12 = x[0] * v[1] - x[1] * v[0]
-    m13 = x[0] * v[2] - x[2] * v[0]
-    m23 = x[1] * v[2] - x[2] * v[1]
-    return cone.a**2 * m23 * m23 + cone.b**2 * m13 * m13 - m12 * m12
-
-
 def poisson_bracket_residual(cone: EllipticCone, x, v, step: float = 1e-5) -> float:
     """{I1, I2} by central differences with one Richardson pass; exactly zero
     for the true bracket, so the return is pure numerical noise."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
 
-    def d(f, point, other, idx, wrt_x, h):
-        e = np.zeros(3)
-        e[idx] = h
-        if wrt_x:
-            return (f(cone, point + e, other) - f(cone, point - e, other)) / (2.0 * h)
-        return (f(cone, other, point + e) - f(cone, other, point - e)) / (2.0 * h)
+    def grad(k: int, wrt_x: bool) -> np.ndarray:
+        """d(I1, I2) / dx_k (or dv_k)."""
+        def central(h: float) -> np.ndarray:
+            e = np.zeros(3)
+            e[k] = h
+            if wrt_x:
+                hi, lo = first_integrals(cone, x + e, v), first_integrals(cone, x - e, v)
+            else:
+                hi, lo = first_integrals(cone, x, v + e), first_integrals(cone, x, v - e)
+            return (np.array(hi) - np.array(lo)) / (2.0 * h)
 
-    def richardson(f, point, other, idx, wrt_x):
-        d1 = d(f, point, other, idx, wrt_x, step)
-        d2 = d(f, point, other, idx, wrt_x, step / 2.0)
-        return (4.0 * d2 - d1) / 3.0
+        return (4.0 * central(step / 2.0) - central(step)) / 3.0
 
     total = 0.0
     for k in range(3):
-        dI1_dx = richardson(_I1, x, v, k, True)
-        dI2_dv = richardson(_I2, v, x, k, False)
-        dI1_dv = richardson(_I1, v, x, k, False)
-        dI2_dx = richardson(_I2, x, v, k, True)
-        total += dI1_dx * dI2_dv - dI1_dv * dI2_dx
-    return total
+        dI_dx = grad(k, True)
+        dI_dv = grad(k, False)
+        total += dI_dx[0] * dI_dv[1] - dI_dv[0] * dI_dx[1]
+    return float(total)
 
 
 def next_intersection(
@@ -231,16 +222,22 @@ def _apex_hit(p, v, t, t_min) -> bool:
 
 @dataclass
 class TrajectoryLog:
-    """Everything a run produced: vertices, lines, per-segment integrals,
-    the alpha/theta bookkeeping, and how it ended."""
+    """Everything a run produced and how it ended.
+
+    Row i of ``bases``/``dirs`` is the i-th line of the trajectory: the
+    launch line first, then each vertex with its outgoing direction.  The
+    vertices, integrals, apex angles and drift are derived from them.
+    """
 
     cone: EllipticCone
-    lines: List[OrientedLine] = field(default_factory=list)
-    vertices: List[np.ndarray] = field(default_factory=list)
-    integrals: List[IntegralPair] = field(default_factory=list)
-    records: List[ReflectionRecord] = field(default_factory=list)
-    termination: Termination = Termination.ESCAPED
+    bases: np.ndarray
+    dirs: np.ndarray
+    termination: Termination
     started_on_surface: bool = False
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.bases[1:]
 
     @property
     def reflection_count(self) -> int:
@@ -248,20 +245,23 @@ class TrajectoryLog:
         trajectory was launched from the surface."""
         return len(self.vertices) + (1 if self.started_on_surface else 0)
 
+    def integrals(self) -> IntegralPair:
+        """(I1, I2) of every line, as arrays."""
+        return IntegralPair(*first_integrals(self.cone, self.bases, self.dirs))
+
     def thetas(self) -> np.ndarray:
-        pts = ([self.lines[0].base] if self.started_on_surface else []) + self.vertices
-        out = []
-        for p1, p2 in zip(pts[:-1], pts[1:]):
-            out.append(angle_between(unit(p1), unit(p2)))
-        return np.array(out)
+        """Apex angles between consecutive vertices, counting the launch
+        base as one when the trajectory started on the surface."""
+        radial = unit(self.bases if self.started_on_surface else self.vertices)
+        return angle_between(radial[:-1], radial[1:])
 
     def integral_drift(self) -> tuple:
         """Relative peak-to-peak drift of (I1, I2); I2 is normalized by
         max(|I2|, I1) since it may legitimately sit at zero."""
-        i1 = np.array([p.I1 for p in self.integrals])
-        i2 = np.array([p.I2 for p in self.integrals])
-        d1 = float(np.ptp(i1) / np.abs(i1).max())
-        d2 = float(np.ptp(i2) / max(np.abs(i2).max(), np.abs(i1).max()))
+        pair = self.integrals()
+        i1_max = np.abs(pair.I1).max()
+        d1 = float(np.ptp(pair.I1) / i1_max)
+        d2 = float(np.ptp(pair.I2) / max(np.abs(pair.I2).max(), i1_max))
         return d1, d2
 
 
@@ -271,41 +271,26 @@ def run(
     max_steps: int = 100_000,
     started_on_surface: bool = False,
 ) -> TrajectoryLog:
-    """Iterate reflections until Escape, apex, or max_steps."""
-    log = TrajectoryLog(cone=cone, started_on_surface=started_on_surface)
+    """Iterate reflections until Escape, apex, grazing incidence, or max_steps."""
+    bases, dirs = [line0.base], [line0.dir]
     line = line0
-    log.lines.append(line)
-    log.integrals.append(integral_pair(cone, line))
     from_surface = started_on_surface
-    log.termination = Termination.MAX_STEPS
+    termination = Termination.MAX_STEPS
     for _ in range(max_steps):
         hit = next_intersection(cone, line, from_surface=from_surface)
         if isinstance(hit, Escape):
-            log.termination = Termination.APEX if hit.apex else Termination.ESCAPED
+            termination = Termination.APEX if hit.apex else Termination.ESCAPED
             break
-        n = unit(cone.gradient(hit))
         try:
-            out = reflect_direction(line.dir, n)
+            out = reflect_direction(line.dir, unit(cone.gradient(hit)))
         except GrazingError:
-            log.termination = Termination.ESCAPED
+            termination = Termination.GRAZING
             break
-        new_line = OrientedLine(hit, out)
-        alpha = angle_between(out, unit(hit))
-        if log.records and log.records[-1].theta_to_next is None:
-            prev = log.records[-1]
-            log.records[-1] = ReflectionRecord(
-                vertex=prev.vertex, incoming=prev.incoming, outgoing=prev.outgoing,
-                alpha=prev.alpha, theta_to_next=angle_between(unit(prev.vertex), unit(hit)),
-            )
-        log.records.append(ReflectionRecord(
-            vertex=hit, incoming=line.dir, outgoing=out, alpha=alpha, theta_to_next=None,
-        ))
-        log.vertices.append(hit)
-        log.lines.append(new_line)
-        log.integrals.append(integral_pair(cone, new_line))
-        line = new_line
+        line = OrientedLine(hit, out)
+        bases.append(hit)
+        dirs.append(out)
         from_surface = True
-    return log
+    return TrajectoryLog(cone, np.array(bases), np.array(dirs), termination, started_on_surface)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +336,8 @@ def m12_sq_max(cone: EllipticCone, I1: float, I2: float) -> float:
 
 def angle_to_integral_residual(cone: EllipticCone, line: OrientedLine, hit: np.ndarray) -> float:
     """cos(xi2 - xi1) - (2 m12^2/(m12^2 + I2) - 1) for the chord base->hit."""
-    _, _, m12 = momenta3(line)
-    I2 = integral_I2(cone, line)
+    m12 = angular_momenta(line)[0]
+    I2 = integral_pair(cone, line).I2
     xi1 = cone.section_angle(line.base)
     xi2 = cone.section_angle(hit)
     return math.cos(xi2 - xi1) - (2.0 * m12**2 / (m12**2 + I2) - 1.0)

@@ -54,6 +54,7 @@ class Termination(enum.Enum):
     ESCAPED = "escaped"
     MAX_STEPS = "max_steps"
     APEX = "apex"
+    GRAZING = "grazing"
 
 
 @dataclass(frozen=True)

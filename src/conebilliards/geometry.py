@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,20 +28,37 @@ BRACKET_WARN = 1e-10      # bracket narrower than this (x scale) warns tangency
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 
 
-def _vec(x) -> np.ndarray:
+def _vec(x, stack: bool = False) -> np.ndarray:
+    """A finite vector of dimension >= 2; with ``stack``, also an (n, d)
+    array of them, one per row."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise DomainError(f"expected a 1-d vector of dimension >= 2, got shape {v.shape}")
+    if v.ndim not in ((1, 2) if stack else (1,)) or v.shape[-1] < 2:
+        kind = "a vector or an (n, d) stack" if stack else "a 1-d vector"
+        raise DomainError(f"expected {kind} of dimension >= 2, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError("vector has non-finite coordinates")
     return v
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> along the last axis.  matmul's vector-by-vector loop is
+    np.dot's, so each entry equals np.dot of the two rows bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _atan2(y, x):
+    """math.atan2 elementwise (np.arctan2 rounds differently); a float for
+    0-d arguments."""
+    if np.ndim(y) == 0:
+        return math.atan2(float(y), float(x))
+    return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+
+
 def unit(x) -> np.ndarray:
-    """Normalize to Euclidean length 1."""
-    v = _vec(x)
-    n = float(np.linalg.norm(v))
-    if n < 1e-300:
+    """Normalize to Euclidean length 1; an (n, d) stack row by row."""
+    v = _vec(x, stack=True)
+    n = np.sqrt(_dots(v, v))[..., None]
+    if (n < 1e-300).any():
         raise DomainError("cannot normalize a (near-)zero vector")
     return v / n
 
@@ -75,18 +92,6 @@ class OrientedLine:
         return self.base + t * self.dir
 
 
-@dataclass(frozen=True)
-class ReflectionRecord:
-    """One reflection event: vertex, directions, and the angles used by the
-    alpha/theta bookkeeping (alpha = angle(outgoing, vertex radius))."""
-
-    vertex: np.ndarray
-    incoming: np.ndarray
-    outgoing: np.ndarray
-    alpha: float
-    theta_to_next: Optional[float] = None
-
-
 def momentum_pairs(n: int) -> list:
     """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -106,18 +111,6 @@ def angular_momenta(line: OrientedLine) -> np.ndarray:
             out[k] = x[i] * v[j] - x[j] * v[i]
             k += 1
     return out
-
-
-def momenta3(line: OrientedLine):
-    """(m23, m13, m12) for a line in R^3."""
-    if line.n != 3:
-        raise DomainError("momenta3 requires a 3-dimensional line")
-    x, v = line.base, line.dir
-    return (
-        x[1] * v[2] - x[2] * v[1],
-        x[0] * v[2] - x[2] * v[0],
-        x[0] * v[1] - x[1] * v[0],
-    )
 
 
 def line_distance_sq(line: OrientedLine) -> float:
@@ -147,15 +140,17 @@ def reflect_direction(v, normal, grazing_tol: float = GRAZING_TOL) -> np.ndarray
     return unit(v - 2.0 * vn * n)
 
 
-def angle_between(u, w) -> float:
-    """Angle in [0, pi] between two unit vectors, accurate near 0 and pi."""
-    u = _vec(u)
-    w = _vec(w)
-    if u.size == 3:
+def angle_between(u, w):
+    """Angle in [0, pi] between two unit vectors, accurate near 0 and pi;
+    for (n, d) stacks, the array of the n row-by-row angles."""
+    u = _vec(u, stack=True)
+    w = _vec(w, stack=True)
+    if u.shape[-1] == 3:
         c = np.cross(u, w)
-        return math.atan2(float(np.linalg.norm(c)), float(np.dot(u, w)))
+        return _atan2(np.sqrt(_dots(c, c)), _dots(u, w))
     # general n: half-angle form, stable at both ends
-    return 2.0 * math.atan2(float(np.linalg.norm(u - w)), float(np.linalg.norm(u + w)))
+    d, s = u - w, u + w
+    return 2.0 * _atan2(np.sqrt(_dots(d, d)), np.sqrt(_dots(s, s)))
 
 
 def wedge_reflection_count(theta: float) -> int:
@@ -215,19 +210,26 @@ class AlphaThetaReport:
     radius: np.ndarray
 
 
-def alpha_theta_residuals(records: Sequence[ReflectionRecord]) -> AlphaThetaReport:
-    """alpha_{k+1} - (alpha_k - theta_k) for consecutive records, plus the
-    per-record residual |p_k| sin(alpha_k) - dist(l_k, O)."""
-    if len(records) < 2:
-        raise DomainError("need at least two consecutive reflection records")
-    alphas = np.array([r.alpha for r in records])
-    thetas = np.array([r.theta_to_next for r in records[:-1]], dtype=float)
-    res_alpha = alphas[1:] - (alphas[:-1] - thetas)
-    res_radius = np.empty(len(records))
-    for i, r in enumerate(records):
-        line = OrientedLine(r.vertex, r.outgoing)
-        dist = math.sqrt(line_distance_sq(line))
-        res_radius[i] = float(np.linalg.norm(r.vertex)) * math.sin(r.alpha) - dist
+def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
+    """alpha_{k+1} - (alpha_k - theta_k) for consecutive reflections, plus
+    the per-reflection residual |p_k| sin(alpha_k) - dist(l_k, O).
+
+    Row k of the (n, 3) arrays is the vertex p_k and the direction leaving
+    it; alpha_k is the angle of that direction to the radius of p_k and
+    theta_k the apex angle between p_k and p_{k+1}.
+    """
+    p = np.asarray(vertices, dtype=float)
+    v = np.asarray(outgoing, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3 or p.shape != v.shape:
+        raise DomainError("need (n, 3) vertex and outgoing-direction arrays")
+    if len(p) < 2:
+        raise DomainError("need at least two consecutive reflections")
+    radial = unit(p)
+    alphas = angle_between(v, radial)
+    res_alpha = alphas[1:] - (alphas[:-1] - angle_between(radial[:-1], radial[1:]))
+    # |p x v|^2 is the sum of the squared m_ij, the squared line distance
+    m = np.cross(p, v)
+    res_radius = np.sqrt(_dots(p, p)) * np.sin(alphas) - np.sqrt(_dots(m, m))
     return AlphaThetaReport(alpha=res_alpha, radius=res_radius)
 
 

@@ -76,7 +76,7 @@ def test_criterion_02_elliptic_conservation():
     n_traj = 0
     while n_traj < 1000:
         log = el.run_random(cone, rng)
-        if not log.vertices:
+        if len(log.vertices) == 0:
             continue
         n_traj += 1
         d1, d2 = log.integral_drift()
@@ -103,7 +103,7 @@ def test_criterion_03_reflection_bound():
         for _ in range(3500):
             log = el.run_random(cone, rng)
             total += 1
-            pair = log.integrals[0]
+            pair = el.integral_pair(cone, OrientedLine(log.bases[0], log.dirs[0]))
             if pair.I2 <= 0.0:
                 continue
             bound = el.reflection_bound(cone, pair.I1, pair.I2)
@@ -272,11 +272,11 @@ def test_criterion_10_caustic_tangency():
     worst_sphere = 0.0
     while n_traj < 100:
         log = el.run_random(cone, rng)
-        pair = log.integrals[0]
+        pair = el.integral_pair(cone, OrientedLine(log.bases[0], log.dirs[0]))
         if not (0.0 < pair.I2 < cone.b**2 * pair.I1) or len(log.vertices) < 2:
             continue
         n_traj += 1
-        for ln in log.lines:
+        for ln in (OrientedLine(b, d) for b, d in zip(log.bases, log.dirs)):
             worst_disc = max(worst_disc, abs(el.caustic_tangency_residual(
                 cone, ln, pair.I1, pair.I2)))
             worst_sphere = max(worst_sphere, abs(

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 
@@ -73,12 +75,36 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["curve", "export", "--grid", "0"],
     ["replay", "--steps", "0"],
     ["replay", "--steps", "10001"],
+    # no window of the curve fits between k1 and kmax
+    ["curve", "export", "--kmax", "2", "--grid", "8"],
+    ["curve", "export", "--kmax", "0", "--grid", "8"],
+    ["curve", "build", "--kmax", "2"],
+    ["replay", "--kmax", "50", "--steps", "5"],
+    ["ndim", "check", "--kmax", "2"],
+    # flags a command does not read are not accepted
+    ["replay", "--seed", "1"],
+    ["ndim", "check", "--tol", "1"],
+    ["curve", "build", "--format", "json"],
+    ["spiral", "vertices", "--report", "r.json"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_integer_columns_pinned(tmp_path):
+    # index, seed, reflections and bound of a fixed batch, as first recorded
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--count", "200", "--seed", "7",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    text = "".join(",".join(r[c] for c in ("index", "seed", "reflections", "bound")) + "\n"
+                   for r in rows)
+    assert len(rows) == 200
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba7b00dd5009973798f5d366436d76f7242b487dc6aac4041951f9fc116de7a7")
 
 
 def test_spiral_verify_passes(tmp_path):
@@ -153,6 +179,11 @@ def test_curve_build_and_export(tmp_path):
                      "--format", "csv", "--out", str(p)]) == 0
     assert exp1.read_bytes() == exp2.read_bytes()
     assert exp1.read_text().splitlines()[0] == "xi,rho,drho,d2rho,kappa"
+    # a grid that is not a multiple of 4 still gives one row per point
+    for grid in (7, 201):
+        assert main(["curve", "export", "--kmax", "20000", "--grid", str(grid),
+                     "--out", str(exp1)]) == 0
+        assert len(exp1.read_text().splitlines()) == grid + 1
 
 
 def test_replay_command(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conebilliards.errors import C2CheckFailure, DomainError
+from conebilliards.errors import C2CheckFailure, ConstructionError, DomainError
 from conebilliards import spiral
 from conebilliards.curve import (
     ArcPatch,
@@ -314,3 +314,10 @@ def test_build_rejects_bad_sigma_domain():
     c = build_curve(SpiralParams(a=0.0), kmax=2000, k1_min=9)
     assert c.k1 >= 9
     assert c.kmax == 2000
+
+
+@pytest.mark.parametrize("kmax", [-5, 0, 2, 10, 50])
+def test_build_rejects_kmax_without_windows(kmax):
+    # the curve needs a window above k1 and below kmax, or it is the unit circle
+    with pytest.raises(ConstructionError):
+        build_curve(SpiralParams(a=0.0), kmax=kmax, k1_min=9)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conebilliards.errors import DomainError, Escape, Termination
+from conebilliards import elliptic
+from conebilliards.errors import DomainError, Escape, GrazingError, Termination
 from conebilliards.geometry import (
     OrientedLine,
     alpha_theta_residuals,
+    angular_momenta,
     line_distance_sq,
-    momenta3,
     unit,
 )
 from conebilliards.elliptic import (
@@ -17,7 +18,6 @@ from conebilliards.elliptic import (
     caustic_tangency_residual,
     chord_angle_sin_sq,
     h_identity_residual,
-    integral_I2,
     integral_pair,
     m12_sq_max,
     min_vertex_angle,
@@ -35,15 +35,23 @@ def cone():
     return EllipticCone(2.0, 1.0)
 
 
-def _long_log(cone, rng, min_records=4, require_positive_I2=False):
+def _long_log(cone, rng, min_vertices=4, require_positive_I2=False):
     for _ in range(500):
         log = run_random(cone, rng)
-        if len(log.records) < min_records:
+        if len(log.vertices) < min_vertices:
             continue
-        if require_positive_I2 and log.integrals[0].I2 <= 0.0:
+        if require_positive_I2 and _launch_pair(cone, log).I2 <= 0.0:
             continue
         return log
     raise RuntimeError("sampler failed to produce a long trajectory")
+
+
+def _lines(log):
+    return [OrientedLine(b, d) for b, d in zip(log.bases, log.dirs)]
+
+
+def _launch_pair(cone, log):
+    return integral_pair(cone, _lines(log)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +69,31 @@ def test_cone_validation():
 
 def test_I2_direct_substitution(cone):
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-    assert integral_I2(cone, line) == pytest.approx(3.0, abs=1e-15)
+    assert integral_pair(cone, line).I2 == pytest.approx(3.0, abs=1e-15)
 
 
 def test_I2_line_through_origin(cone):
     line = OrientedLine([0.0, 0.0, 0.0], unit([0.3, 0.4, 0.86]))
-    assert integral_I2(cone, line) == 0.0
+    assert integral_pair(cone, line).I2 == 0.0
 
 
 def test_integrals_constant_on_trajectory(cone, rng):
     log = _long_log(cone, rng)
-    i1 = np.array([p.I1 for p in log.integrals])
-    i2 = np.array([p.I2 for p in log.integrals])
+    pair = log.integrals()
+    i1, i2 = pair.I1, pair.I2
     assert np.ptp(i1) / i1.max() < 1e-9
     assert np.ptp(i2) / max(np.abs(i2).max(), i1.max()) < 1e-9
     for vert in log.vertices:
         assert abs(cone.quadric(vert)) < 1e-10 * max(1.0, float(vert @ vert))
+
+
+def test_log_integrals_equal_integral_pair(cone, rng):
+    log = _long_log(cone, rng, min_vertices=6)
+    pair = log.integrals()
+    assert pair.I1.shape == pair.I2.shape == (len(log.vertices) + 1,)
+    for i, line in enumerate(_lines(log)):
+        one = integral_pair(cone, line)
+        assert pair.I1[i] == one.I1 and pair.I2[i] == one.I2
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +138,8 @@ def test_run_planar_stays_planar(cone):
     line = OrientedLine([1.0, 0.0, 1.0], unit([-0.9, 0.0, 0.15]))
     log = run(cone, line, max_steps=50)
     assert len(log.vertices) >= 1
-    for ln in log.lines:
-        m23, _, m12 = momenta3(ln)
+    for ln in _lines(log):
+        m12, _, m23 = angular_momenta(ln)
         assert m12 == 0.0 and m23 == 0.0
 
 
@@ -134,9 +151,31 @@ def test_run_termination_enum(cone, rng):
     assert short.reflection_count == 0
 
 
+def test_run_grazing_termination(cone, rng, monkeypatch):
+    # the second reflection grazes: the run keeps the first and ends GRAZING
+    full = _long_log(cone, rng, min_vertices=3)
+    line0 = _lines(full)[0]
+    real = elliptic.reflect_direction
+    calls = []
+
+    def grazes_second(v, n):
+        calls.append(n)
+        if len(calls) == 2:
+            raise GrazingError("grazing incidence")
+        return real(v, n)
+
+    monkeypatch.setattr(elliptic, "reflect_direction", grazes_second)
+    log = run(cone, line0, started_on_surface=True)
+    assert log.termination == Termination.GRAZING
+    assert len(calls) == 2
+    assert np.array_equal(log.bases, full.bases[:2])
+    assert np.array_equal(log.dirs, full.dirs[:2])
+    assert log.reflection_count == 2
+
+
 def test_run_alpha_theta_bookkeeping(cone, rng):
-    log = _long_log(cone, rng, min_records=5)
-    rep = alpha_theta_residuals(log.records)
+    log = _long_log(cone, rng, min_vertices=5)
+    rep = alpha_theta_residuals(log.vertices, log.dirs[1:])
     assert np.abs(rep.alpha).max() < 1e-9
     assert np.abs(rep.radius).max() < 1e-9
 
@@ -175,7 +214,7 @@ def test_bound_holds_small_batch(cone, rng):
     checked = 0
     for _ in range(400):
         log = run_random(cone, rng)
-        pair = log.integrals[0]
+        pair = _launch_pair(cone, log)
         if pair.I2 <= 0.0 or log.termination != Termination.ESCAPED:
             continue
         bound = reflection_bound(cone, pair.I1, pair.I2)
@@ -187,7 +226,7 @@ def test_bound_holds_small_batch(cone, rng):
 def test_every_theta_exceeds_estimate(cone, rng):
     for _ in range(150):
         log = run_random(cone, rng)
-        pair = log.integrals[0]
+        pair = _launch_pair(cone, log)
         if pair.I2 <= 0.0 or len(log.vertices) < 2:
             continue
         lower = min_vertex_angle(cone, pair.I1, pair.I2)
@@ -196,10 +235,10 @@ def test_every_theta_exceeds_estimate(cone, rng):
 
 def test_chord_angle_closed_form(cone, rng):
     log = _long_log(cone, rng, require_positive_I2=True)
-    pair = log.integrals[0]
-    pts = [log.lines[0].base] + log.vertices
-    for ln, p1, p2 in zip(log.lines, pts[:-1], pts[1:]):
-        _, _, m12 = momenta3(ln)
+    pair = _launch_pair(cone, log)
+    pts = log.bases  # run_random starts on the surface
+    for ln, p1, p2 in zip(_lines(log), pts[:-1], pts[1:]):
+        m12 = angular_momenta(ln)[0]
         s2 = chord_angle_sin_sq(cone, pair.I1, pair.I2, m12)
         u1, u2 = unit(p1), unit(p2)
         sin_th = float(np.linalg.norm(np.cross(u1, u2)))
@@ -209,7 +248,7 @@ def test_chord_angle_closed_form(cone, rng):
 
 def test_angle_to_integral_identity(cone, rng):
     log = _long_log(cone, rng)
-    for ln, hit in zip(log.lines[:-1], log.vertices):
+    for ln, hit in zip(_lines(log)[:-1], log.vertices):
         assert abs(angle_to_integral_residual(cone, ln, hit)) < 1e-9
 
 
@@ -263,11 +302,11 @@ def test_caustic_tangency_on_trajectory(cone, rng):
     found = 0
     for _ in range(300):
         log = run_random(cone, rng)
-        pair = log.integrals[0]
+        pair = _launch_pair(cone, log)
         # valid lambda needs 0 < c2 < b^2 c1
         if not (0.0 < pair.I2 < cone.b**2 * pair.I1) or len(log.vertices) < 2:
             continue
-        for ln in log.lines:
+        for ln in _lines(log):
             assert abs(caustic_tangency_residual(cone, ln, pair.I1, pair.I2)) < 1e-8
         found += 1
         if found >= 25:
@@ -277,8 +316,8 @@ def test_caustic_tangency_on_trajectory(cone, rng):
 
 def test_sphere_caustic(cone, rng):
     log = _long_log(cone, rng)
-    c1 = log.integrals[0].I1
-    for ln in log.lines:
+    c1 = _launch_pair(cone, log).I1
+    for ln in _lines(log):
         assert math.sqrt(line_distance_sq(ln)) == pytest.approx(math.sqrt(c1), abs=1e-9)
 
 

@@ -10,13 +10,11 @@ from conebilliards.geometry import (
     GeneralCone,
     OrientedLine,
     PreciseLine,
-    ReflectionRecord,
     alpha_theta_residuals,
     angle_between,
     angular_momenta,
     cone_step_precise,
     line_distance_sq,
-    momenta3,
     momentum_pairs,
     projected_distance_sq,
     reflect_direction,
@@ -34,7 +32,7 @@ SQRT2 = math.sqrt(2.0)
 
 def test_momenta_direct_substitution():
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-    m23, m13, m12 = momenta3(line)
+    m12, m13, m23 = angular_momenta(line)
     assert (m23, m13, m12) == (-1.0, 0.0, 1.0)
 
 
@@ -238,20 +236,43 @@ def test_alpha_theta_planar_wedge_in_r3():
     th1 = angle_between(unit(p1), unit(p2))
     # alpha_2 = alpha_1 - theta_1 requires the chords to keep a common
     # distance from the origin; enforce it by projecting p3 onto the cone
-    # of solutions: instead check the residual using the *actual* records
-    rec1 = ReflectionRecord(vertex=p1, incoming=v1, outgoing=v1, alpha=a1, theta_to_next=th1)
-    rec2 = ReflectionRecord(vertex=p2, incoming=v1, outgoing=v2, alpha=a2, theta_to_next=None)
-    rep = alpha_theta_residuals([rec1, rec2])
+    # of solutions: instead check the residual using the *actual* path
+    rep = alpha_theta_residuals(np.array([p1, p2]), np.array([v1, v2]))
+    # the angles are derived from the path exactly as angle_between gives them
+    assert rep.alpha[0] == a2 - (a1 - th1)
     # the radius identity |p| sin alpha = dist holds for any chord pair
     assert np.abs(rep.radius).max() < 1e-12
     # and the alpha recurrence holds exactly when v2 is the reflection of v1
     # across the plane through p2: build that pair explicitly
     n = unit(np.array([p2[2], 0.0, -p2[0]]))  # normal orthogonal to p2 in the plane
     v2r = reflect_direction(v1, n)
-    a2r = angle_between(v2r, unit(p2))
-    rec2r = ReflectionRecord(vertex=p2, incoming=v1, outgoing=v2r, alpha=a2r, theta_to_next=None)
-    rep2 = alpha_theta_residuals([rec1, rec2r])
+    rep2 = alpha_theta_residuals(np.array([p1, p2]), np.array([v1, v2r]))
     assert np.abs(rep2.alpha).max() < 1e-12
+
+
+def test_alpha_theta_rejects_short_or_mismatched_paths():
+    p = np.array([[1.0, 0.0, 1.0], [0.4, 0.0, 1.3]])
+    with pytest.raises(DomainError):
+        alpha_theta_residuals(p[:1], p[:1])
+    with pytest.raises(DomainError):
+        alpha_theta_residuals(p, p[:1])
+
+
+def test_unit_and_angle_between_take_stacks(rng):
+    # an (n, d) stack gives, bit for bit, what each row gives alone; the
+    # last two rows of w give the angles 0 and pi
+    for d in (3, 4):
+        x = rng.normal(size=(500, d)) * rng.uniform(1e-3, 1e3, (500, 1))
+        u = unit(x)
+        assert np.array_equal(u, np.array([unit(r) for r in x]))
+        w = np.concatenate([unit(rng.normal(size=(498, d))), u[-2:-1], -u[-1:]])
+        expected = [angle_between(a, b) for a, b in zip(u, w)]
+        assert angle_between(u, w).tolist() == expected
+        assert angle_between(u[:0], w[:0]).shape == (0,)
+    with pytest.raises(DomainError):
+        unit(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        unit(np.ones((2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
