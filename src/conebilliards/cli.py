@@ -143,10 +143,7 @@ def cmd_spiral_verify(args) -> int:
     if args.kmax < 9:
         # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
         raise _fail(f"need --kmax >= 9 for the sigma asymptotics check, got {args.kmax}")
-    try:
-        params = SpiralParams(a=args.a)
-    except DomainError as exc:
-        raise _fail(str(exc))
+    params = SpiralParams(a=args.a)
     t0 = time.monotonic()
     kmax = args.kmax
     traj = SpiralTrajectory(params.a, kmax=kmax + 1)
@@ -228,10 +225,7 @@ def cmd_spiral_verify(args) -> int:
 
 
 def cmd_spiral_vertices(args) -> int:
-    try:
-        params = SpiralParams(a=args.a)
-    except DomainError as exc:
-        raise _fail(str(exc))
+    params = SpiralParams(a=args.a)
     traj = SpiralTrajectory(params.a, kmax=args.kmax + 1)
     ks = np.arange(traj.k0, args.kmax + 1)
     pts = traj.vertex(ks)
@@ -521,11 +515,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _fail(str(exc))
 
 
 if __name__ == "__main__":

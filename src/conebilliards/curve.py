@@ -290,74 +290,59 @@ class PolarCurve:
         return np.linspace(lo, hi, count)
 
 
-def build_curve(
-    params: Optional[SpiralParams] = None,
-    kappa_threshold: float = 0.5,
-    kmax: int = 130_000,
-    k1_min: int = 1,
-    samples_per_window: int = 96,
-    detect_horizon: int = 4096,
-) -> PolarCurve:
+KAPPA_MIN = 0.5           # the cone is a billiard table while the curvature exceeds this
+SAMPLES_PER_WINDOW = 96
+DETECT_HORIZON = 4096     # every window below is sampled; beyond, 48 geometric ones
+SWEEP_BLOCK = 512         # windows per curvature batch; bounds the sweep's peak memory
+
+
+def _window_minima(curve: PolarCurve, windows: np.ndarray) -> np.ndarray:
+    """Min sampled curvature of each window [xi_{k+1}, xi_k]."""
+    frac = np.linspace(0.0, 1.0, SAMPLES_PER_WINDOW)
+    mins = np.empty(windows.size)
+    for i in range(0, windows.size, SWEEP_BLOCK):
+        kf = windows[i:i + SWEEP_BLOCK].astype(float)
+        lo = 1.0 / np.sqrt(kf + 1.0)
+        hi = 1.0 / np.sqrt(kf)
+        pts = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+        mins[i:i + SWEEP_BLOCK] = curve.curvature(pts.ravel()).reshape(pts.shape).min(axis=1)
+    return mins
+
+
+def build_curve(params: Optional[SpiralParams] = None, kmax: int = 130_000,
+                k1_min: int = 1) -> PolarCurve:
     """Construct the blended curve and pick the flat-start index k1.
 
-    k1 is the smallest index such that the sampled curvature of the
-    (re)built curve exceeds ``kappa_threshold`` on every window k >= k1;
-    windows up to ``detect_horizon`` are checked densely and a geometric
-    sample of windows beyond it up to kmax.  At least one window must lie
-    above k1 and below kmax, or the curve would be the plain unit circle.
+    One sweep samples the curvature of every window below DETECT_HORIZON
+    and of a geometric sample of windows up to kmax, on a probe curve
+    flattened only up to k1_min; k1 is one past the last window whose
+    minimum is at most KAPPA_MIN.  Flattening up to k1 changes only the
+    samples of windows k1 and k1 + 1, so just those two are re-checked,
+    and k1 moves past the first of them that fails.  At least one window
+    must lie above k1 and below kmax, or the curve would be the plain
+    unit circle.
     """
-    if max(k1_min, 1) > kmax - 2:
-        raise ConstructionError(f"no window above k1 >= {max(k1_min, 1)} fits below kmax = {kmax}")
+    k1 = max(k1_min, 1)
+    if k1 > kmax - 2:
+        raise ConstructionError(f"no window above k1 >= {k1} fits below kmax = {kmax}")
     sig = np.zeros(kmax + 2)
     sig[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
     if np.abs(sig).max() >= SIGMA_DOMAIN:
         raise ConstructionError("a sigma_k fell outside the arc domain")
 
-    far_windows = np.unique(np.geomspace(detect_horizon, kmax - 1, 48).astype(int))
-
-    def window_minima(curve: PolarCurve, windows: np.ndarray) -> np.ndarray:
-        """Min sampled curvature per window, evaluated in one batch."""
-        kf = windows.astype(float)
-        lo = 1.0 / np.sqrt(kf + 1.0)
-        hi = 1.0 / np.sqrt(kf)
-        frac = np.linspace(0.0, 1.0, samples_per_window)
-        pts = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-        kap = curve.curvature(pts.ravel()).reshape(pts.shape)
-        return kap.min(axis=1)
-
-    near = np.arange(1, detect_horizon)
-
-    def min_kappa_from(curve: PolarCurve, k_from: int) -> tuple:
-        wins = near[near >= max(k_from, 1)]
-        mins = window_minima(curve, wins)
-        bad = np.nonzero(mins <= kappa_threshold)[0]
-        if bad.size:
-            i = bad[0]
-            return float(mins[i]), int(wins[i])
-        far_mins = window_minima(curve, far_windows)
-        bad = np.nonzero(far_mins <= kappa_threshold)[0]
-        if bad.size:
-            i = bad[0]
-            return float(far_mins[i]), int(far_windows[i])
-        return float(min(mins.min(), far_mins.min())), None
-
-    # provisional curve with no flat start locates the last bad window
-    probe = PolarCurve(sig.copy(), k1=max(k1_min, 1), kmax=kmax)
-    probe_mins = window_minima(probe, near)
-    bad_idx = np.nonzero(probe_mins <= kappa_threshold)[0]
-    bad = int(near[bad_idx[-1]]) if bad_idx.size else 0
-    k1 = max(bad + 1, k1_min, 1)
-
-    # flatten, then re-verify: the k1 window now blends circle -> arc
-    for _ in range(64):
-        if k1 > kmax - 2:
-            break
-        curve = PolarCurve(sig.copy(), k1=k1, kmax=kmax)
-        mn, where = min_kappa_from(curve, k1)
-        if mn > kappa_threshold:
+    windows = np.union1d(np.arange(1, DETECT_HORIZON),
+                         np.geomspace(DETECT_HORIZON, kmax - 1, 48).astype(int))
+    windows = windows[windows >= k1]
+    bad = windows[_window_minima(PolarCurve(sig, k1=k1, kmax=kmax), windows) <= KAPPA_MIN]
+    if bad.size:
+        k1 = int(bad[-1]) + 1
+    while k1 <= kmax - 2:
+        curve = PolarCurve(sig, k1=k1, kmax=kmax)
+        failed = np.nonzero(_window_minima(curve, np.array([k1, k1 + 1])) <= KAPPA_MIN)[0]
+        if not failed.size:
             return curve
-        k1 = int(where) + 1
-    raise ConstructionError(f"no admissible k1 <= {kmax - 2} for threshold {kappa_threshold}")
+        k1 += int(failed[0]) + 1
+    raise ConstructionError(f"no admissible k1 <= {kmax - 2} for threshold {KAPPA_MIN}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +364,21 @@ class C2Report:
         return max(abs(s - e) for s, e in zip(self.slopes, self.expected))
 
 
-def c2_check_at_zero(
-    curve: PolarCurve,
-    k_lo: int = 100,
-    k_hi: Optional[int] = None,
-    n_windows: int = 60,
-    slope_tol: float = 0.15,
-    strict: bool = True,
-) -> C2Report:
+C2_K_LO = 100         # the decay fit runs over 60 geometric windows
+C2_K_HI = 100_000     # from C2_K_LO to min(kmax - 2, C2_K_HI)
+
+
+def c2_check_at_zero(curve: PolarCurve, slope_tol: float = 0.15, strict: bool = True) -> C2Report:
     """Fit the decay exponents of the window sups of |rho-1|, |rho'|, |rho''|.
 
     The expected envelopes are k^-4, k^-5/2 and k^-1; failing the
     +-slope_tol band raises C2CheckFailure (report attached).
     """
-    if k_hi is None:
-        k_hi = min(curve.kmax - 2, 100_000)
+    k_lo = C2_K_LO
+    k_hi = min(curve.kmax - 2, C2_K_HI)
     if k_lo <= curve.k1:
-        raise DomainError("k_lo must exceed the flat-start index k1")
-    ks = np.unique(np.geomspace(k_lo, k_hi, n_windows).astype(int))
+        raise DomainError(f"the decay fit starts at k = {k_lo}, which must exceed k1 = {curve.k1}")
+    ks = np.unique(np.geomspace(k_lo, k_hi, 60).astype(int))
     sup0 = np.empty(ks.size)
     sup1 = np.empty(ks.size)
     sup2 = np.empty(ks.size)
@@ -462,22 +444,28 @@ class ReplayReport:
     escaped: bool
 
 
+VERTEX_TOL = 1e-7
+
+
 def replay(
     curve: PolarCurve,
     params: SpiralParams,
     steps: int,
     start_k: Optional[int] = None,
-    vertex_tol: float = 1e-7,
     strict: bool = True,
 ) -> ReplayReport:
     """Run the generic cone stepper on the built cone and compare every hit
-    against the closed-form vertices."""
+    against the closed-form vertices; a relative vertex error above
+    VERTEX_TOL counts as divergence."""
     if steps < 1 or steps > 10_000:
         raise DomainError("steps must lie in [1, 10000]")
     traj = SpiralTrajectory(params.a, kmax=max(curve.kmax, 1000))
     k_start = start_k if start_k is not None else max(curve.k1 + 1, traj.k0)
     if k_start <= curve.k1:
         raise DomainError("replay must start above the flat-start index k1")
+    if k_start + steps - 1 > curve.kmax:
+        raise DomainError(f"replay range k = {k_start}..{k_start + steps - 1} "
+                          f"runs past the curve's kmax = {curve.kmax}")
     cone = GeneralCone(curve)
     state = PreciseLine.from_line(traj.line(k_start))
     max_rel = 0.0
@@ -496,7 +484,7 @@ def replay(
         rel = float(np.linalg.norm(stepped.base - expected) / np.linalg.norm(expected))
         if rel > max_rel:
             max_rel = rel
-        if rel > vertex_tol and first_bad is None:
+        if rel > VERTEX_TOL and first_bad is None:
             first_bad = k
         max_dist = max(max_dist, abs(line_distance_sq(stepped.as_line()) - 2.0))
         state = stepped

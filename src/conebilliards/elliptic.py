@@ -66,10 +66,6 @@ class EllipticCone:
         x = np.asarray(x, dtype=float)
         return math.atan2(x[1] / (self.b * x[2]), x[0] / (self.a * x[2]))
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x[2] > 0.0 and self.quadric(x) < -margin
-
 
 def first_integrals(cone: EllipticCone, x, v) -> tuple:
     """(I1, I2) of the line through x with direction v.

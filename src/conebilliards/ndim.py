@@ -80,12 +80,6 @@ class LiftedSection:
         fpp = (x1dd * x2d - x1d * x2dd) / x2d**3
         return f, fp, fpp
 
-    def f1_at_vertex(self, k: int):
-        """Profile data at the section point of vertex k (xi known exactly)."""
-        xi_v = np.atleast_1d(spiral.xi(k)).astype(float)
-        f, fp, fpp = self._f1_at_xi(xi_v)
-        return float(f[0]), float(fp[0]), float(fpp[0])
-
     # -- the lifted graph ---------------------------------------------------------
     def _split(self, y):
         y = np.asarray(y, dtype=float)

@@ -210,14 +210,6 @@ class NormalFrame:
     def tangent(self) -> np.ndarray:
         return np.array([self.w[1], -self.w[0]])
 
-    @property
-    def q3(self) -> np.ndarray:
-        return np.array([self.q[0], self.q[1], 1.0])
-
-    @property
-    def w3(self) -> np.ndarray:
-        return np.array([self.w[0], self.w[1], 0.0])
-
 
 def sigma(k):
     """Tilt sigma_k of the required normal w_k away from the circle normal.

@@ -75,6 +75,7 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["curve", "export", "--grid", "0"],
     ["replay", "--steps", "0"],
     ["replay", "--steps", "10001"],
+    ["replay", "--kmax", "100", "--steps", "35"],
     # no window of the curve fits between k1 and kmax
     ["curve", "export", "--kmax", "2", "--grid", "8"],
     ["curve", "export", "--kmax", "0", "--grid", "8"],
@@ -184,6 +185,19 @@ def test_curve_build_and_export(tmp_path):
         assert main(["curve", "export", "--kmax", "20000", "--grid", str(grid),
                      "--out", str(exp1)]) == 0
         assert len(exp1.read_text().splitlines()) == grid + 1
+
+
+def test_curve_build_k1_min_beyond_near_windows(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main(["curve", "build", "--k1-min", "5000", "--kmax", "20000",
+                 "--out", str(tmp_path), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["measured"]["k1"] == 5000
+
+
+def test_replay_range_up_to_kmax(tmp_path):
+    # --steps 35 runs past kmax and is refused in test_rejects_bad_sizes
+    assert main(["replay", "--kmax", "100", "--steps", "34",
+                 "--report", str(tmp_path / "rep.json")]) == 0
 
 
 def test_replay_command(tmp_path):

@@ -308,6 +308,15 @@ def test_replay_rejects_bad_start(built_curve):
         replay(built_curve, SpiralParams(a=0.0), steps=0)
 
 
+def test_replay_rejects_range_past_kmax():
+    curve = build_curve(SpiralParams(a=0.0), kmax=100, k1_min=9)
+    # the default start is k1 + 1 = 67; 35 steps would reach vertex 102, past
+    # q_101, the last vertex the sigma table (k <= kmax + 1) pins
+    assert replay(curve, SpiralParams(a=0.0), steps=34).start_k == 67
+    with pytest.raises(DomainError):
+        replay(curve, SpiralParams(a=0.0), steps=35)
+
+
 def test_build_rejects_bad_sigma_domain():
     # kmax must be large enough that sigma stays in the arc domain; all
     # sigma_k are tiny so construction succeeds even for small tables
@@ -316,8 +325,25 @@ def test_build_rejects_bad_sigma_domain():
     assert c.kmax == 2000
 
 
+@pytest.mark.parametrize("kmax, k1_min, k1", [
+    (2000, 1, 66), (2000, 5, 66), (2000, 9, 66), (2000, 30, 66), (2000, 66, 66),
+    # k1 is one past the last failing probe window, not the smallest admissible index
+    (2000, 65, 65), (2000, 67, 67), (2000, 100, 100), (2000, 400, 400),
+    (500, 400, 400), (5000, 3000, 3000),
+    # only the far, geometric windows lie above k1_min
+    (20_000, 5000, 5000),
+])
+def test_build_pins_k1(kmax, k1_min, k1):
+    assert build_curve(SpiralParams(a=0.0), kmax=kmax, k1_min=k1_min).k1 == k1
+
+
 @pytest.mark.parametrize("kmax", [-5, 0, 2, 10, 50])
 def test_build_rejects_kmax_without_windows(kmax):
     # the curve needs a window above k1 and below kmax, or it is the unit circle
     with pytest.raises(ConstructionError):
         build_curve(SpiralParams(a=0.0), kmax=kmax, k1_min=9)
+
+
+def test_build_rejects_k1_min_without_windows():
+    with pytest.raises(ConstructionError):
+        build_curve(SpiralParams(a=0.0), kmax=100, k1_min=100)
