@@ -11,7 +11,6 @@ from .errors import (
     ReplayFailure,
     TangencyWarning,
     Termination,
-    ToleranceError,
 )
 from .geometry import (
     CircularSection,

@@ -53,6 +53,20 @@ def _fail(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
+# Upper limits of the size flags, checked before anything is built.
+MAX_COUNT = 100_000      # elliptic simulate --count: one row per trajectory
+MAX_KMAX = 1_000_000     # every --kmax: tail and sigma tables of kmax + 2 entries
+MAX_GRID = 100_000       # curve and ndim --grid
+MAX_N = 6                # ndim check --n: the Hessian grid has dimension n - 2
+MAX_STEPS = 10_000       # replay and ndim check --steps
+
+
+def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
+    """Exit 2 unless lo <= value <= hi."""
+    if not lo <= value <= hi:
+        raise _fail(f"need {lo} <= {flag} <= {hi}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # elliptic
 # ---------------------------------------------------------------------------
@@ -82,8 +96,7 @@ def _one_trajectory(cone, seed: int, index: int) -> dict:
 def cmd_elliptic_simulate(args) -> int:
     if not args.semi_a > args.semi_b > 0:
         raise _fail(f"need --semi-a > --semi-b > 0, got {args.semi_a}, {args.semi_b}")
-    if args.count < 1:
-        raise _fail(f"need --count >= 1, got {args.count}")
+    _check_size("--count", args.count, 1, MAX_COUNT)
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     t0 = time.monotonic()
     rows = [_one_trajectory(cone, args.seed, i) for i in range(args.count)]
@@ -140,9 +153,8 @@ def cmd_elliptic_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spiral_verify(args) -> int:
-    if args.kmax < 9:
-        # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
-        raise _fail(f"need --kmax >= 9 for the sigma asymptotics check, got {args.kmax}")
+    # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
+    _check_size("--kmax", args.kmax, 9, MAX_KMAX)
     params = SpiralParams(a=args.a)
     t0 = time.monotonic()
     kmax = args.kmax
@@ -183,7 +195,7 @@ def cmd_spiral_verify(args) -> int:
     length_infinite = math.isinf(total)
     length_dev = None
     if not length_infinite:
-        k_hi = min(kmax - 1, traj.table.kmax - 1)
+        k_hi = kmax - 1
         partial = float(traj.partial_length(traj.k0, k_hi))
         chords = float(np.sum(traj.chord_length(np.arange(traj.k0, k_hi + 1))))
         length_dev = abs(partial - chords)
@@ -225,6 +237,7 @@ def cmd_spiral_verify(args) -> int:
 
 
 def cmd_spiral_vertices(args) -> int:
+    _check_size("--kmax", args.kmax, 1, MAX_KMAX)
     params = SpiralParams(a=args.a)
     traj = SpiralTrajectory(params.a, kmax=args.kmax + 1)
     ks = np.arange(traj.k0, args.kmax + 1)
@@ -249,6 +262,8 @@ def cmd_spiral_vertices(args) -> int:
 
 def _build_curve_from_args(args):
     """The section curve for --a, --kmax and --k1-min; exits 2 if it cannot be built."""
+    if args.kmax > MAX_KMAX:
+        raise _fail(f"need --kmax <= {MAX_KMAX}, got {args.kmax}")
     try:
         return curve_mod.build_curve(SpiralParams(a=args.a), kmax=args.kmax, k1_min=args.k1_min)
     except (ConstructionError, DomainError) as exc:
@@ -301,13 +316,8 @@ def _curve_svg(curve) -> str:
     return svgplot.document([(main, (0.0, 0.0)), (zoom, (0.0, 570.0))], 560, 860)
 
 
-def _check_grid(args) -> None:
-    if args.grid < 4:
-        raise _fail(f"need --grid >= 4, got {args.grid}")
-
-
 def cmd_curve_build(args) -> int:
-    _check_grid(args)
+    _check_size("--grid", args.grid, 4, MAX_GRID)
     t0 = time.monotonic()
     curve = _build_curve_from_args(args)
     out_dir = Path(args.out or ".")
@@ -336,7 +346,7 @@ def cmd_curve_build(args) -> int:
 
 
 def cmd_curve_export(args) -> int:
-    _check_grid(args)
+    _check_size("--grid", args.grid, 4, MAX_GRID)
     curve = _build_curve_from_args(args)
     table = _curve_table(curve, args.grid)
     if args.format == "csv":
@@ -354,8 +364,7 @@ def cmd_curve_export(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    if not 1 <= args.steps <= 10_000:
-        raise _fail(f"need 1 <= --steps <= 10000, got {args.steps}")
+    _check_size("--steps", args.steps, 1, MAX_STEPS)
     t0 = time.monotonic()
     params = SpiralParams(a=args.a)
     curve = _build_curve_from_args(args)
@@ -387,8 +396,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_ndim_check(args) -> int:
-    if args.steps < 1 or args.grid < 1:
-        raise _fail(f"need --steps >= 1 and --grid >= 1, got {args.steps}, {args.grid}")
+    _check_size("--n", args.n, 3, MAX_N)
+    _check_size("--grid", args.grid, 1, MAX_GRID)
+    _check_size("--steps", args.steps, 1, MAX_STEPS)
     t0 = time.monotonic()
     curve = _build_curve_from_args(args)
     section = ndim.LiftedSection(curve, n=args.n)

@@ -261,19 +261,10 @@ class PolarCurve:
         return float(out) if out.ndim == 0 else out
 
     # -- structure accessors ----------------------------------------------------
-    def sigma_k(self, k: int) -> float:
-        return float(self._sig[k])
-
     def arc(self, k: int) -> ArcPatch:
         if not (1 <= k <= self.kmax):
             raise DomainError("arc index outside the table")
         return ArcPatch(k=k, sigma=float(self._sig[k]))
-
-    def point(self, xi_val):
-        """Cartesian section point (rho cos xi, rho sin xi)."""
-        r = np.asarray(self.polar(xi_val)[0], dtype=float)
-        x = np.asarray(xi_val, dtype=float)
-        return np.stack([r * np.cos(x), r * np.sin(x)], axis=-1)
 
     def inward_normal(self, xi_val) -> np.ndarray:
         """Unit inward normal of the curve (rotate the tangent by +pi/2)."""
@@ -313,14 +304,14 @@ def build_curve(params: Optional[SpiralParams] = None, kmax: int = 130_000,
                 k1_min: int = 1) -> PolarCurve:
     """Construct the blended curve and pick the flat-start index k1.
 
-    One sweep samples the curvature of every window below DETECT_HORIZON
-    and of a geometric sample of windows up to kmax, on a probe curve
-    flattened only up to k1_min; k1 is one past the last window whose
-    minimum is at most KAPPA_MIN.  Flattening up to k1 changes only the
-    samples of windows k1 and k1 + 1, so just those two are re-checked,
-    and k1 moves past the first of them that fails.  At least one window
-    must lie above k1 and below kmax, or the curve would be the plain
-    unit circle.
+    One sweep samples the curvature of every window below
+    min(DETECT_HORIZON, kmax) and of a geometric sample of windows up to
+    kmax - 1, on a probe curve flattened only up to k1_min; k1 is one past
+    the last window whose minimum is at most KAPPA_MIN.  Flattening up to
+    k1 changes only the samples of windows k1 and k1 + 1, so just those two
+    are re-checked, and k1 moves past the first of them that fails.  At
+    least one window must lie above k1 and below kmax, or the curve would
+    be the plain unit circle.
     """
     k1 = max(k1_min, 1)
     if k1 > kmax - 2:
@@ -332,7 +323,7 @@ def build_curve(params: Optional[SpiralParams] = None, kmax: int = 130_000,
 
     windows = np.union1d(np.arange(1, DETECT_HORIZON),
                          np.geomspace(DETECT_HORIZON, kmax - 1, 48).astype(int))
-    windows = windows[windows >= k1]
+    windows = windows[(windows >= k1) & (windows < kmax)]  # windows >= kmax are the unit circle
     bad = windows[_window_minima(PolarCurve(sig, k1=k1, kmax=kmax), windows) <= KAPPA_MIN]
     if bad.size:
         k1 = int(bad[-1]) + 1

@@ -24,6 +24,7 @@ from .geometry import (
     OrientedLine,
     angle_between,
     angular_momenta,
+    near_apex,
     reflect_direction,
     unit,
 )
@@ -31,7 +32,6 @@ from .geometry import (
 T_MIN_FACTOR = 1e-12      # excludes re-hitting the current vertex
 LINEAR_A_TOL = 1e-14      # |A| below this solves the ray linearly
 DISC_CLAMP = 1e-14        # negative discriminant within this clamps to zero
-APEX_TOL = 1e-9
 ARC_CLAMP = 1e-12         # arcsin arguments within this of 1 are clamped
 
 
@@ -172,7 +172,7 @@ def next_intersection(
     def accept(t: float) -> Optional[np.ndarray]:
         if t > t_min and p[2] + t * v[2] > 0.0:
             hit = p + t * v
-            if float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p))):
+            if near_apex(hit, p):
                 return None  # caller flags the apex
             return hit
         return None
@@ -210,10 +210,7 @@ def next_intersection(
 
 
 def _apex_hit(p, v, t, t_min) -> bool:
-    if t <= t_min:
-        return False
-    hit = p + t * v
-    return float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p)))
+    return t > t_min and near_apex(p + t * v, p)
 
 
 @dataclass

@@ -14,10 +14,6 @@ class GrazingError(ValueError):
     """Reflection requested at (numerically) grazing incidence."""
 
 
-class ToleranceError(ValueError):
-    """A requested tolerance cannot be met by the available summation scheme."""
-
-
 class ConstructionError(RuntimeError):
     """Curve construction failed (e.g. no admissible flat-start index)."""
 

@@ -28,6 +28,11 @@ BRACKET_WARN = 1e-10      # bracket narrower than this (x scale) warns tangency
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 
 
+def near_apex(hit: np.ndarray, base: np.ndarray) -> bool:
+    """True when ``hit`` lies within APEX_TOL * max(1, |base|) of the apex."""
+    return float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(base)))
+
+
 def _vec(x, stack: bool = False) -> np.ndarray:
     """A finite vector of dimension >= 2; with ``stack``, also an (n, d)
     array of them, one per row."""
@@ -309,10 +314,6 @@ class GeneralCone:
 
     section: object
 
-    def surface_point(self, xi: float, t: float) -> np.ndarray:
-        r = float(self.section.polar(xi)[0])
-        return t * np.array([r * math.cos(xi), r * math.sin(xi), 1.0])
-
     def normal_at(self, point) -> np.ndarray:
         """Unit surface normal n ~ e1 x e2 with e1 the ruling through the
         point and e2 the lifted section tangent."""
@@ -457,7 +458,7 @@ def cone_step_precise(cone: GeneralCone, state: PreciseLine) -> Union[PreciseLin
     tail = np.empty(3)
     for i in range(3):
         hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(state.base_tail[i]), t_hit, float(v[i]))
-    if float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(p))):
+    if near_apex(hit, p):
         return Escape(apex=True)
     out = reflect_direction(v, cone.normal_at(hit))
     return PreciseLine(hit, tail, out)

@@ -21,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError
 from .geometry import OrientedLine, angle_between, line_distance_sq
 
 SQRT2 = math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
 
-# theta(delta) = (delta - delta^3/48 - 7 delta^5/7680 - 7 delta^7/368640 - ...)/sqrt(2);
-# tails switch from direct summation to this series at K_SWITCH.
-K_SWITCH = 32
+# Tail sums are accumulated in blocks of TAIL_BLOCK indices, each anchored on
+# the closed form at the first index of the next block.
+TAIL_BLOCK = 4096
 _TAIL_PARTIAL_TERMS = 4000
 
 
@@ -76,7 +76,7 @@ def _theta_diff(k):
 
 
 def _tail_closed(k: int) -> float:
-    """S_k for k >= K_SWITCH: telescoped delta plus arcsin-series corrections.
+    """S_k for k >= 32: telescoped delta plus arcsin-series corrections.
 
     S_k = (xi_k - T3/48 - 7 T5/7680)/sqrt(2) with T_p = sum_{i>=k} delta_i^p;
     the truncated series terms are below 1e-20 relative for k >= 32.
@@ -89,25 +89,26 @@ def _tail_closed(k: int) -> float:
     return (float(xi(k)) - t3 / 48.0 - 7.0 * t5 / 7680.0) / SQRT2
 
 
-def theta_tail(k: int, tol: float = 1e-15) -> float:
-    """S_k = sum_{i>=k} theta_i to within tol.
+def _block_tails(j0: int, j1: int):
+    """(theta_k, S_k) for k = j0*B + 1 .. j1*B, with B = TAIL_BLOCK.
 
-    The analytic remainder needs only a few thousand explicit terms, so any
-    tol down to float64 resolution is reachable; tol below ~1e-22 * S_k
-    would require more than 1e9 terms even in exact arithmetic.
+    Block j sums its own thetas backwards and adds the closed-form anchor
+    S_{(j+1)B+1}, so every S_k depends on k alone: any two callers that ask
+    for the same k get the same bits.
     """
+    b = TAIL_BLOCK
+    th = theta(np.arange(j0 * b + 1, j1 * b + 1, dtype=float)).reshape(-1, b)
+    anchors = np.array([_tail_closed((j + 1) * b + 1) for j in range(j0, j1)])
+    s = np.cumsum(th[:, ::-1], axis=1)[:, ::-1] + anchors[:, None]
+    return th.ravel(), s.ravel()
+
+
+def theta_tail(k: int) -> float:
+    """S_k = sum_{i>=k} theta_i; bit-identical to ``TailTable(m).tail(k)``."""
     if k < 1:
         raise DomainError("tail index must be >= 1")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    # required partial-sum length for the leading remainder to clear tol
-    needed = (28.0 * 48.0 * SQRT2 * tol) ** (-2.0 / 7.0)
-    if needed > 1e9:
-        raise ToleranceError(f"tol={tol} would need ~{needed:.2g} > 1e9 terms")
-    if k >= K_SWITCH:
-        return _tail_closed(k)
-    head = float(np.sum(theta(np.arange(k, K_SWITCH, dtype=float))))
-    return head + _tail_closed(K_SWITCH)
+    j = (k - 1) // TAIL_BLOCK
+    return float(_block_tails(j, j + 1)[1][k - 1 - j * TAIL_BLOCK])
 
 
 def theta_tail_naive(k: int, terms: int = 1_000_000) -> float:
@@ -119,24 +120,21 @@ def theta_tail_naive(k: int, terms: int = 1_000_000) -> float:
 
 
 class TailTable:
-    """Immutable cache of xi_k, delta_k, theta_k, S_k for k = 1..kmax+1.
+    """theta_k and S_k for k = 1..kmax+1, from ``_block_tails``.
 
-    Built by reverse accumulation from a closed-form anchor, so consecutive
-    entries satisfy S_k - S_{k+1} = theta_k to the last bit -- exactly the
-    consistency the geometric identities need.
+    Inside a block consecutive entries satisfy S_k - S_{k+1} = theta_k to
+    rounding -- the consistency the geometric identities need -- and a
+    smaller table is an exact prefix of a larger one.
     """
 
     def __init__(self, kmax: int):
         if kmax < 2:
             raise DomainError("kmax must be >= 2")
         self.kmax = int(kmax)
-        ks = np.arange(1, self.kmax + 2, dtype=float)
-        self.xi = xi(ks)
-        self.delta = delta(ks)
-        self.theta = 2.0 * np.arcsin(np.sin(self.delta / 2.0) / SQRT2)
-        anchor = _tail_closed(self.kmax + 2)
-        rev = np.cumsum(self.theta[::-1])[::-1]
-        self.S = rev + anchor  # S[k-1] = S_k
+        n = self.kmax + 1
+        th, s = _block_tails(0, (n - 1) // TAIL_BLOCK + 1)  # up to the block of k = n
+        self.theta = th[:n]
+        self.S = s[:n]  # S[k-1] = S_k
 
     def tail(self, k) -> np.ndarray:
         k = np.asarray(k)
@@ -149,7 +147,8 @@ _SHARED_TABLE: Optional[TailTable] = None
 
 
 def shared_tail_table(kmax: int) -> TailTable:
-    """Process-wide table, grown on demand (the table is parameter-free)."""
+    """Process-wide memo, grown on demand; a larger table answers any
+    smaller request with the same bits."""
     global _SHARED_TABLE
     if _SHARED_TABLE is None or _SHARED_TABLE.kmax < kmax:
         _SHARED_TABLE = TailTable(kmax)
@@ -222,8 +221,7 @@ def sigma(k):
     if np.any(k_arr < 2):
         raise DomainError("sigma_k needs k >= 2")
     dk, dkm = delta(k_arr), delta(k_arr - 1.0)
-    thk = 2.0 * np.arcsin(np.sin(dk / 2.0) / SQRT2)
-    thkm = 2.0 * np.arcsin(np.sin(dkm / 2.0) / SQRT2)
+    thk, thkm = theta(k_arr), theta(k_arr - 1.0)
     dd = delta_diff(k_arr)
     with np.errstate(invalid="ignore"):
         dth_series = _theta_diff(k_arr)
@@ -255,11 +253,11 @@ class SpiralTrajectory:
     k0(a) <= k <= kmax.
     """
 
-    def __init__(self, a: float, kmax: int = 100_000, table: Optional[TailTable] = None):
+    def __init__(self, a: float, kmax: int = 100_000):
         if not (-HALF_PI < a <= HALF_PI):
             raise DomainError("parameter a must lie in (-pi/2, pi/2]")
         self.a = float(a)
-        self.table = table if table is not None and table.kmax >= kmax else shared_tail_table(kmax)
+        self.table = shared_tail_table(kmax)
         self.kmax = kmax
         self.k0 = k0(a)
 

@@ -148,10 +148,9 @@ def test_criterion_04_h_identity_and_poisson():
 
 def test_criterion_05_spiral_invariants():
     t0 = time.monotonic()
-    table = spiral.shared_tail_table(1_000_002)
     worst = {"dist": 0.0, "angles": 0.0, "alpha": 0.0, "length": 0.0}
     for a in (-1.0, 0.0, 1.0, math.pi / 2):
-        traj = SpiralTrajectory(a, kmax=1_000_001, table=table)
+        traj = SpiralTrajectory(a, kmax=1_000_001)
         ks = np.unique(np.concatenate([
             np.arange(traj.k0, traj.k0 + 40),
             np.geomspace(traj.k0, 100_000, 140).astype(int),

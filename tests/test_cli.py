@@ -82,6 +82,19 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["curve", "build", "--kmax", "2"],
     ["replay", "--kmax", "50", "--steps", "5"],
     ["ndim", "check", "--kmax", "2"],
+    # sizes above the upper limits are refused before anything is built
+    ["elliptic", "simulate", "--count", "100001"],
+    ["spiral", "verify", "--kmax", "10000000000"],
+    ["spiral", "vertices", "--kmax", "1000001"],
+    ["spiral", "vertices", "--kmax", "0"],
+    ["curve", "build", "--kmax", "1000001"],
+    ["curve", "export", "--grid", "100001"],
+    ["replay", "--kmax", "10000000000"],
+    ["ndim", "check", "--n", "40"],
+    ["ndim", "check", "--n", "7"],
+    ["ndim", "check", "--n", "2"],
+    ["ndim", "check", "--grid", "100001"],
+    ["ndim", "check", "--steps", "10001"],
     # flags a command does not read are not accepted
     ["replay", "--seed", "1"],
     ["ndim", "check", "--tol", "1"],

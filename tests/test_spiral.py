@@ -1,14 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from conebilliards.errors import DomainError, ToleranceError
+from conebilliards.errors import DomainError
 from conebilliards.geometry import angle_between, reflect_direction, unit
 from conebilliards.spiral import (
     SQRT2,
+    TAIL_BLOCK,
     SpiralParams,
     SpiralTrajectory,
+    TailTable,
     delta,
     k0,
     normal_w,
@@ -97,9 +100,36 @@ def test_tail_table_consistency(tail_table):
     assert np.abs(lhs - tail_table.theta[ks - 1]).max() < 1e-16
 
 
+def test_tail_table_is_prefix_of_larger_table():
+    # S_k depends on k alone: no table size or call history moves a bit
+    small = TailTable(130_000)
+    large = TailTable(1_000_002)
+    n = small.S.size
+    assert small.S.tobytes() == large.S[:n].tobytes()
+    assert small.theta.tobytes() == large.theta[:n].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, TAIL_BLOCK - 1, TAIL_BLOCK, TAIL_BLOCK + 1,
+                               2 * TAIL_BLOCK + 1, 199_999])
+def test_theta_tail_equals_table_entry(k):
+    assert theta_tail(k) == float(TailTable(200_000).tail(k))
+
+
+@pytest.mark.parametrize("k", [67, TAIL_BLOCK, TAIL_BLOCK + 1, 2 * TAIL_BLOCK + 1, 129_999])
+def test_tail_table_against_mpmath_oracle(tail_table, k):
+    # sum_{i>=k} delta_i telescopes to xi_k, so S_k = xi_k/sqrt(2) plus a sum
+    # whose terms theta_i - delta_i/sqrt(2) decay like i^(-9/2)
+    with mp.workdps(25):
+        def term(i):
+            d = 1 / (mp.sqrt(i * (i + 1)) * (mp.sqrt(i) + mp.sqrt(i + 1)))
+            return 2 * mp.asin(mp.sin(d / 2) / mp.sqrt(2)) - d / mp.sqrt(2)
+
+        exact = 1 / mp.sqrt(2 * k) + mp.nsum(term, [k, mp.inf])
+        rel = float(abs(mp.mpf(float(tail_table.tail(k))) / exact - 1))
+    assert rel <= 1e-15
+
+
 def test_tail_tolerance_error():
-    with pytest.raises(ToleranceError):
-        theta_tail(10, tol=1e-40)
     with pytest.raises(DomainError):
         theta_tail(0)
 
