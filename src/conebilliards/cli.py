@@ -9,6 +9,7 @@ are serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -165,31 +166,26 @@ def cmd_spiral_verify(args) -> int:
     ]))
     ks = ks[(ks >= traj.k0) & (ks < kmax)]
 
+    # one residual array per check; at a shared k the failure reported is the
+    # first in this order. The distance floor scales like eps |tan(a - S_k)|
+    # when t_k blows up near the admissibility boundary; the flat tol binds elsewhere.
+    k_ang = ks[ks > traj.k0]
+    k_rec = ks[ks + 1 < kmax]
+    alpha, beta = traj.verify_equal_angles(k_ang)
+    residuals = {
+        "dist": (ks, np.abs(traj.verify_distance(ks)),
+                 np.maximum(args.tol, 1e-13 * np.abs(np.tan(traj.tilt(ks))))),
+        "equal_angles": (k_ang, np.abs(alpha - beta), 1e-11),
+        "alpha_recurrence": (k_rec, np.abs(traj.alpha_closed(k_rec + 1)
+                                           - (traj.alpha_closed(k_rec) - spiral.theta(k_rec))), 1e-11),
+    }
+    failures = [(int(k[dev > tol][0]), order, name)
+                for order, (name, (k, dev, tol)) in enumerate(residuals.items()) if np.any(dev > tol)]
     first_fail = None
-    worst = {"dist": 0.0, "equal_angles": 0.0, "alpha_rec": 0.0}
-    for k in ks:
-        k = int(k)
-        dist_dev = abs(traj.verify_distance(k))
-        worst["dist"] = max(worst["dist"], dist_dev)
-        # the residual floor scales like eps |tan(a - S_k)| when t_k blows
-        # up near the admissibility boundary; the flat tol binds elsewhere
-        tol_eff = max(args.tol, 1e-13 * abs(math.tan(traj.tilt(k))))
-        if dist_dev > tol_eff and first_fail is None:
-            first_fail = ("dist", k)
-        if k > traj.k0:
-            al, be = traj.verify_equal_angles(k)
-            dev = abs(al - be)
-            worst["equal_angles"] = max(worst["equal_angles"], dev)
-            if dev > 1e-11 and first_fail is None:
-                first_fail = ("equal_angles", k)
-        if k + 1 < kmax:
-            al = float(traj.alpha_closed(k))
-            al_next = float(traj.alpha_closed(k + 1))
-            th = float(spiral.theta(k))
-            dev = abs(al_next - (al - th))
-            worst["alpha_rec"] = max(worst["alpha_rec"], dev)
-            if dev > 1e-11 and first_fail is None:
-                first_fail = ("alpha_recurrence", k)
+    if failures:
+        k, _, name = min(failures)
+        first_fail = (name, k)
+    worst = {name: float(dev.max(initial=0.0)) for name, (_, dev, _) in residuals.items()}
 
     total = traj.total_length()
     length_infinite = math.isinf(total)
@@ -222,7 +218,7 @@ def cmd_spiral_verify(args) -> int:
             "k0": traj.k0,
             "worst_distance_deviation": worst["dist"],
             "worst_equal_angle_deviation": worst["equal_angles"],
-            "worst_alpha_recurrence": worst["alpha_rec"],
+            "worst_alpha_recurrence": worst["alpha_recurrence"],
             "partial_vs_chord_sum": length_dev,
             "total_length": None if length_infinite else total,
             "sigma_b_at_k": {"k": k_sig, "b": b_k},
@@ -236,23 +232,35 @@ def cmd_spiral_verify(args) -> int:
     return 0
 
 
+VERTEX_BLOCK = 65_536  # vertices formatted per block; bounds the Python objects alive
+CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+# one element of json.dumps(rows, indent=1), which prints a float as its repr
+JSON_ROW = '{\n  "k": %d,\n  "x1": %r,\n  "x2": %r,\n  "x3": %r\n }'
+
+
+def _vertex_rows(ks: np.ndarray, pts: np.ndarray, fmt: str):
+    """fmt % (k, x1, x2, x3) for each vertex, in order."""
+    for lo in range(0, ks.size, VERTEX_BLOCK):
+        hi = lo + VERTEX_BLOCK
+        yield from (fmt % row for row in zip(ks[lo:hi].tolist(), *pts[lo:hi].T.tolist()))
+
+
 def cmd_spiral_vertices(args) -> int:
     _check_size("--kmax", args.kmax, 1, MAX_KMAX)
     params = SpiralParams(a=args.a)
     traj = SpiralTrajectory(params.a, kmax=args.kmax + 1)
     ks = np.arange(traj.k0, args.kmax + 1)
     pts = traj.vertex(ks)
-    rows = [{"k": int(k), "x1": p[0], "x2": p[1], "x3": p[2]} for k, p in zip(ks, pts)]
-    text = (
-        "\n".join(["k,x1,x2,x3"] + [f"{r['k']},{_g17(r['x1'])},{_g17(r['x2'])},{_g17(r['x3'])}" for r in rows])
-        + "\n"
-        if args.format == "csv"
-        else json.dumps(rows, indent=1, default=float) + "\n"
-    )
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # rows stream to the output, so memory stays flat in kmax
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "csv":
+            out.write("k,x1,x2,x3\n")
+            out.writelines(_vertex_rows(ks, pts, CSV_ROW))
+        else:
+            out.write("[")
+            out.writelines(("\n " if i == 0 else ",\n ") + row
+                           for i, row in enumerate(_vertex_rows(ks, pts, JSON_ROW)))
+            out.write("\n]\n" if ks.size else "]\n")
     return 0
 
 
@@ -326,9 +334,7 @@ def cmd_curve_build(args) -> int:
     (out_dir / "curve.svg").write_text(_curve_svg(curve))
 
     ks = np.unique(np.geomspace(max(curve.k1 + 1, 100), min(curve.kmax - 2, 50_000), 24).astype(int))
-    kap_min = math.inf
-    for k in ks:
-        kap_min = min(kap_min, float(np.min(curve.curvature(curve.window_samples(int(k), 96)))))
+    kap_min = float(curve.curvature(curve.window_samples(ks, 96)).min())
     census = curve_mod.sign_change_census(curve, curve.k1 + 1, min(curve.k1 + 2000, curve.kmax - 2))
 
     report = RunReport(
@@ -414,7 +420,7 @@ def cmd_ndim_check(args) -> int:
         command="ndim check",
         config={"n": args.n, "grid": args.grid, "a": args.a, "steps": args.steps},
         passed=passed,
-        checks=rep.to_dict(),
+        checks=asdict(rep),
         measured={
             "embedded_max_tangential_residual": emb.max_tangential_residual,
             "embedded_max_perpendicular_residual": emb.max_perpendicular_residual,

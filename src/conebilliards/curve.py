@@ -275,10 +275,10 @@ class PolarCurve:
         n = np.array([-ty, tx])
         return n / np.linalg.norm(n)
 
-    def window_samples(self, k: int, count: int = 64) -> np.ndarray:
-        lo = float(spiral.xi(k + 1))
-        hi = float(spiral.xi(k))
-        return np.linspace(lo, hi, count)
+    def window_samples(self, k, count: int = 64) -> np.ndarray:
+        """``count`` equispaced points of the window [xi_{k+1}, xi_k]; for an
+        int array k, one row per window, each equal to its one-window call."""
+        return np.linspace(spiral.xi(np.asarray(k) + 1), spiral.xi(k), count, axis=-1)
 
 
 KAPPA_MIN = 0.5           # the cone is a billiard table while the curvature exceeds this
@@ -289,14 +289,10 @@ SWEEP_BLOCK = 512         # windows per curvature batch; bounds the sweep's peak
 
 def _window_minima(curve: PolarCurve, windows: np.ndarray) -> np.ndarray:
     """Min sampled curvature of each window [xi_{k+1}, xi_k]."""
-    frac = np.linspace(0.0, 1.0, SAMPLES_PER_WINDOW)
     mins = np.empty(windows.size)
     for i in range(0, windows.size, SWEEP_BLOCK):
-        kf = windows[i:i + SWEEP_BLOCK].astype(float)
-        lo = 1.0 / np.sqrt(kf + 1.0)
-        hi = 1.0 / np.sqrt(kf)
-        pts = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-        mins[i:i + SWEEP_BLOCK] = curve.curvature(pts.ravel()).reshape(pts.shape).min(axis=1)
+        pts = curve.window_samples(windows[i:i + SWEEP_BLOCK], SAMPLES_PER_WINDOW)
+        mins[i:i + SWEEP_BLOCK] = curve.curvature(pts).min(axis=1)
     return mins
 
 
@@ -348,8 +344,6 @@ class C2Report:
     sup_d2: np.ndarray
     slopes: tuple            # fitted log-log slopes for (|rho-1|, |rho'|, |rho''|)
     expected: tuple = (-4.0, -2.5, -1.0)
-    quotient_d1: float = 0.0  # sup over small xi of |rho-1|/xi  -> rho'(0+) = 0
-    quotient_d2: float = 0.0  # sup over small xi of |rho'|/xi   -> rho''(0+) = 0
 
     def max_slope_error(self) -> float:
         return max(abs(s - e) for s, e in zip(self.slopes, self.expected))
@@ -370,28 +364,10 @@ def c2_check_at_zero(curve: PolarCurve, slope_tol: float = 0.15, strict: bool = 
     if k_lo <= curve.k1:
         raise DomainError(f"the decay fit starts at k = {k_lo}, which must exceed k1 = {curve.k1}")
     ks = np.unique(np.geomspace(k_lo, k_hi, 60).astype(int))
-    sup0 = np.empty(ks.size)
-    sup1 = np.empty(ks.size)
-    sup2 = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        d, d1, d2 = curve.deviation(curve.window_samples(int(k), 130))
-        sup0[i] = np.abs(d).max()
-        sup1[i] = np.abs(d1).max()
-        sup2[i] = np.abs(d2).max()
+    sup0, sup1, sup2 = (np.abs(d).max(axis=1) for d in curve.deviation(curve.window_samples(ks, 130)))
     lk = np.log(ks.astype(float))
     slopes = tuple(float(np.polyfit(lk, np.log(s), 1)[0]) for s in (sup0, sup1, sup2))
-
-    far = ks[ks >= max(k_lo, 1000)]
-    if far.size == 0:
-        far = np.array([k_hi])
-    # window midpoints: the junctions themselves are exact zeros of rho - 1
-    small = 0.5 * (spiral.xi(far) + spiral.xi(far + 1)).astype(float)
-    d, d1, _ = curve.deviation(small)
-    report = C2Report(
-        k_values=ks, sup_dev=sup0, sup_d1=sup1, sup_d2=sup2, slopes=slopes,
-        quotient_d1=float(np.max(np.abs(d) / small)),
-        quotient_d2=float(np.max(np.abs(d1) / small)),
-    )
+    report = C2Report(k_values=ks, sup_dev=sup0, sup_d1=sup1, sup_d2=sup2, slopes=slopes)
     if strict and report.max_slope_error() > slope_tol:
         raise C2CheckFailure(
             f"decay slopes {slopes} deviate more than {slope_tol} from {report.expected}",

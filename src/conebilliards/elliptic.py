@@ -33,6 +33,9 @@ T_MIN_FACTOR = 1e-12      # excludes re-hitting the current vertex
 LINEAR_A_TOL = 1e-14      # |A| below this solves the ray linearly
 DISC_CLAMP = 1e-14        # negative discriminant within this clamps to zero
 ARC_CLAMP = 1e-12         # arcsin arguments within this of 1 are clamped
+PB_STEP = 1e-5            # central-difference step of poisson_bracket_residual
+BOUND_MARGIN = 8          # run_random caps a c2 > 0 run this far above its bound
+FALLBACK_STEPS = 4000     # and any other run at this many reflections
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def h_identity_residual(cone: EllipticCone, u, v) -> float:
     return float(res) if res.ndim == 0 else res
 
 
-def poisson_bracket_residual(cone: EllipticCone, x, v, step: float = 1e-5) -> float:
+def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
     """{I1, I2} by central differences with one Richardson pass; exactly zero
     for the true bracket, so the return is pure numerical noise."""
     x = np.asarray(x, dtype=float)
@@ -138,7 +141,7 @@ def poisson_bracket_residual(cone: EllipticCone, x, v, step: float = 1e-5) -> fl
                 hi, lo = first_integrals(cone, x, v + e), first_integrals(cone, x, v - e)
             return (np.array(hi) - np.array(lo)) / (2.0 * h)
 
-        return (4.0 * central(step / 2.0) - central(step)) / 3.0
+        return (4.0 * central(PB_STEP / 2.0) - central(PB_STEP)) / 3.0
 
     total = 0.0
     for k in range(3):
@@ -383,18 +386,13 @@ def sample_start(cone: EllipticCone, rng: np.random.Generator) -> OrientedLine:
             return OrientedLine(base, v)
 
 
-def run_random(
-    cone: EllipticCone,
-    rng: np.random.Generator,
-    bound_margin: int = 8,
-    fallback_steps: int = 4000,
-) -> TrajectoryLog:
+def run_random(cone: EllipticCone, rng: np.random.Generator) -> TrajectoryLog:
     """Sample a start and run it; trajectories with c2 > 0 are capped just
-    above their own reflection bound, others at fallback_steps."""
+    above their own reflection bound, others at FALLBACK_STEPS."""
     line0 = sample_start(cone, rng)
     pair = integral_pair(cone, line0)
     if pair.I2 > 0.0:
-        cap = reflection_bound(cone, pair.I1, pair.I2) + bound_margin
+        cap = reflection_bound(cone, pair.I1, pair.I2) + BOUND_MARGIN
     else:
-        cap = fallback_steps
+        cap = FALLBACK_STEPS
     return run(cone, line0, max_steps=cap, started_on_surface=True)

@@ -19,13 +19,14 @@ import numpy as np
 from .errors import DomainError, Escape, GrazingError, TangencyWarning
 
 # Contract / numerics constants.  All tolerances used by this module are
-# surfaced here; operations take overrides where it makes sense.
+# surfaced here.
 UNIT_TOL = 1e-12          # |norm(dir) - 1| allowed for a Direction
 GRAZING_TOL = 1e-12       # |<v,n>| below this refuses to reflect
 T_MIN_FACTOR = 1e-9       # t_min = factor * |base| excludes the current vertex
 SCAN_FACTOR = 1e-2        # coarse-scan step as a fraction of the length scale
 BRACKET_WARN = 1e-10      # bracket narrower than this (x scale) warns tangency
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
+WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
 
 
 def near_apex(hit: np.ndarray, base: np.ndarray) -> bool:
@@ -68,9 +69,9 @@ def unit(x) -> np.ndarray:
     return v / n
 
 
-def check_unit(v: np.ndarray, tol: float = UNIT_TOL) -> None:
-    if abs(float(np.linalg.norm(v)) - 1.0) > tol:
-        raise DomainError(f"direction is not unit within {tol}: |v| = {np.linalg.norm(v)}")
+def check_unit(v: np.ndarray) -> None:
+    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
+        raise DomainError(f"direction is not unit within {UNIT_TOL}: |v| = {np.linalg.norm(v)}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def projected_distance_sq(line: OrientedLine) -> float:
     return float(np.dot(x, x) - np.dot(x, v) ** 2)
 
 
-def reflect_direction(v, normal, grazing_tol: float = GRAZING_TOL) -> np.ndarray:
+def reflect_direction(v, normal) -> np.ndarray:
     """Specular reflection v - 2<v,n>n, renormalized.
 
     Tangential components are preserved, the normal component flips.
@@ -140,8 +141,8 @@ def reflect_direction(v, normal, grazing_tol: float = GRAZING_TOL) -> np.ndarray
     check_unit(v)
     check_unit(n)
     vn = float(np.dot(v, n))
-    if abs(vn) < grazing_tol:
-        raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {grazing_tol}")
+    if abs(vn) < GRAZING_TOL:
+        raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
     return unit(v - 2.0 * vn * n)
 
 
@@ -165,7 +166,7 @@ def wedge_reflection_count(theta: float) -> int:
     return math.ceil(math.pi / theta)
 
 
-def simulate_wedge(theta: float, base, direction, max_steps: int = 10000) -> int:
+def simulate_wedge(theta: float, base, direction) -> int:
     """Count reflections of a full billiard trajectory in the planar wedge
     {polar angle in [0, theta]}.
 
@@ -188,7 +189,7 @@ def simulate_wedge(theta: float, base, direction, max_steps: int = 10000) -> int
     if not (1e-9 < ang < theta - 1e-9):
         raise DomainError("backward ray must escape through the open wedge")
     count = 0
-    for _ in range(max_steps):
+    for _ in range(WEDGE_MAX_STEPS):
         best = None
         for wdir, wnorm in walls:
             vn = float(np.dot(v, wnorm))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,6 +23,7 @@ INV_TOL = 1e-15           # bisection tolerance for inverting x2(xi)
 # Second-difference rounding noise is ~4 eps/h^2: 1e-5 would floor at 9e-6,
 # 1e-4 keeps the cross-check honestly below 1e-6.
 FD_STEP = 1e-4
+BOUNDARY_MARGIN = 1e-3    # negdef_check samples the disk of radius 1 - this
 
 
 class LiftedSection:
@@ -181,28 +182,16 @@ class NegdefReport:
     window_f1p_range: tuple = ()   # observed f1' range on (0, 1/3)
     window_f1_range: tuple = ()    # observed f1 range on (0, 1/3)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "grid_size": self.grid_size,
-            "max_eigenvalue": self.max_eigenvalue,
-            "margin": self.margin,
-            "failures": self.failures,
-            "scalar_max": self.scalar_max,
-            "window_f1p_range": list(self.window_f1p_range),
-            "window_f1_range": list(self.window_f1_range),
-        }
 
-
-def _disk_grid(m: int, target: int, margin: float) -> np.ndarray:
+def _disk_grid(m: int, target: int) -> np.ndarray:
     """Regular lattice on the unit ball of dimension m with at least
-    ``target`` points, boundary margin cut."""
+    ``target`` points, a BOUNDARY_MARGIN rim cut off."""
     per_axis = max(3, int(round(target ** (1.0 / m))))
     while True:
-        axes = [np.linspace(-1.0 + margin, 1.0 - margin, per_axis)] * m
+        axes = [np.linspace(-1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, per_axis)] * m
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        pts = pts[np.einsum("ij,ij->i", pts, pts) < (1.0 - margin) ** 2]
+        pts = pts[np.einsum("ij,ij->i", pts, pts) < (1.0 - BOUNDARY_MARGIN) ** 2]
         if pts.shape[0] >= target or per_axis > 4096:
             return pts
         per_axis = int(per_axis * 1.3) + 1
@@ -211,7 +200,6 @@ def _disk_grid(m: int, target: int, margin: float) -> np.ndarray:
 def negdef_check(
     section: LiftedSection,
     grid_target: int = 10_000,
-    margin: float = 1e-3,
     strict: bool = True,
 ) -> NegdefReport:
     """Hessian eigenvalue sweep plus the scalar margin f1 f1'' + f1'^2 < 0.
@@ -220,7 +208,7 @@ def negdef_check(
     non-negative eigenvalue when strict.
     """
     m = section.n - 2
-    pts = _disk_grid(m, grid_target, margin)
+    pts = _disk_grid(m, grid_target)
     failures = []
     H_all = section.hessian_batch(pts)
     eigs = np.linalg.eigvalsh(H_all)
@@ -231,7 +219,7 @@ def negdef_check(
         failures.append({"point": pts[i].tolist(), "max_eig": float(eigs[i, -1])})
 
     # scalar route: f1 f1'' + f1'^2 on (-1, 1), plus the window bounds
-    xs = np.linspace(-1.0 + margin, 1.0 - margin, 4001)
+    xs = np.linspace(-1.0 + BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, 4001)
     f, fp, fpp = section.f1(xs)
     scalar = f * fpp + fp * fp
     win = (xs > 1e-6) & (xs < 1.0 / 3.0)
@@ -273,7 +261,6 @@ def embedded_reflection_check(
     section: LiftedSection,
     trajectory: SpiralTrajectory,
     count: int = 1000,
-    start_k: Optional[int] = None,
 ) -> EmbedReport:
     """Tangential equalities of the embedded trajectory on the lift.
 
@@ -281,9 +268,7 @@ def embedded_reflection_check(
     and <v~_k, e~_1>, <v~_k, e~_2> match across the reflection.
     """
     n = section.n
-    k_start = start_k if start_k is not None else max(section.curve.k1 + 1, trajectory.k0)
-    if k_start <= section.curve.k1:
-        raise DomainError("start index must exceed k1")
+    k_start = max(section.curve.k1 + 1, trajectory.k0)
     ks = np.arange(k_start, k_start + count)
     v_in = trajectory.direction(ks - 1)      # (count, 3): planar components...
     v_out = trajectory.direction(ks)

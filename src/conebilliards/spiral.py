@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OrientedLine, angle_between, line_distance_sq
+from .geometry import OrientedLine, _dots, angle_between, unit
 
 SQRT2 = math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
@@ -349,19 +349,21 @@ class SpiralTrajectory:
         return SQRT2 * (math.tan(self.a) - math.tan(float(self.tilt(k_from))))
 
     def alpha_closed(self, k):
-        """alpha_k from cos(alpha_k) = sin(A_k)."""
+        """alpha_k = pi/2 - A_k, so cos(alpha_k) = sin(A_k); atan2 keeps full
+        precision as A_k -> -pi/2, where arccos(sin A_k) is ill-conditioned."""
         self._check_k(k)
-        return np.arccos(np.sin(self.tilt(k)))
+        A = self.tilt(k)
+        return np.arctan2(np.cos(A), np.sin(A))
 
-    def verify_distance(self, k: int) -> float:
-        """dist(l_k, O) - sqrt(2) via the angular-momentum route."""
-        return math.sqrt(line_distance_sq(self.line(k))) - SQRT2
+    def verify_distance(self, k):
+        """dist(l_k, O) - sqrt(2) via the angular momenta m_ij of l_k, the
+        components of p_k x dir_k."""
+        # reversed to (m_01, -m_02, m_12): the order line_distance_sq sums in
+        m = np.cross(self.vertex(k), self.direction(k))[..., ::-1]
+        return np.sqrt(_dots(m, m)) - SQRT2
 
-    def verify_equal_angles(self, k: int):
+    def verify_equal_angles(self, k):
         """(alpha_k, beta_k): angles of l_k and l_{k-1} with the radius p_k."""
         self._check_k(k, lo=max(self.k0 + 1, 2))
-        p = self.vertex(k)
-        u = p / np.linalg.norm(p)
-        alpha = angle_between(self.direction(k), u)
-        beta = angle_between(self.direction(k - 1), u)
-        return alpha, beta
+        u = unit(self.vertex(k))
+        return angle_between(self.direction(k), u), angle_between(self.direction(k - 1), u)

@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conebilliards.cli import main
+from conebilliards.geometry import OrientedLine, angle_between, line_distance_sq
+from conebilliards.spiral import SQRT2, SpiralTrajectory, theta, theta_tail
 
 
 def test_version(capsys):
@@ -152,6 +155,47 @@ def test_spiral_verify_near_lower_boundary(tmp_path):
     data = json.loads(rep.read_text())
     assert data["passed"] is True
     assert data["measured"]["k0"] > 50  # large flat-start from the tilt constraint
+
+
+def _verify_reference(a: float, kmax: int, tol: float):
+    """first_failure of spiral verify's per-k checks, one k at a time through
+    one OrientedLine and one p/|p| per k; None if every k passes."""
+    traj = SpiralTrajectory(a, kmax=kmax + 1)
+    ks = np.unique(np.concatenate([
+        np.arange(traj.k0, min(traj.k0 + 64, kmax)),
+        np.geomspace(max(traj.k0, 1), kmax - 1, 256).astype(int),
+    ]))
+    for k in ks[(ks >= traj.k0) & (ks < kmax)].tolist():
+        p = traj.vertex(k)
+        dist = abs(math.sqrt(line_distance_sq(OrientedLine(p, traj.direction(k)))) - SQRT2)
+        if dist > max(tol, 1e-13 * abs(math.tan(traj.tilt(k)))):
+            return ["dist", k]
+        u = p / np.linalg.norm(p)
+        if k > traj.k0 and abs(angle_between(traj.direction(k), u)
+                               - angle_between(traj.direction(k - 1), u)) > 1e-11:
+            return ["equal_angles", k]
+        if k + 1 < kmax and abs(float(traj.alpha_closed(k + 1))
+                                - (float(traj.alpha_closed(k)) - float(theta(k)))) > 1e-11:
+            return ["alpha_recurrence", k]
+    return None
+
+
+@pytest.mark.parametrize("a, kmax, tol, fails", [
+    # a = S_40 puts tan(A_k) near 0 at k ~ 40, so the 1e-20 tol binds there
+    (theta_tail(40), 5000, 1e-20, True),
+    (0.0, 9, 1e-10, False),
+    (math.pi / 2, 5000, 1e-10, False),
+    (-1.0, 100_000, 1e-10, False),
+])
+def test_spiral_verify_matches_per_k_reference(tmp_path, a, kmax, tol, fails):
+    rep = tmp_path / "rep.json"
+    rc = main(["spiral", "verify", "--a", repr(a), "--kmax", str(kmax), "--tol", repr(tol),
+               "--report", str(rep)])
+    data = json.loads(rep.read_text())
+    expected = _verify_reference(a, kmax, tol)
+    assert (expected is not None) == fails
+    assert data["checks"]["first_failure"] == expected
+    assert data["passed"] == (expected is None) == (rc == 0)
 
 
 def test_spiral_verify_rejects_bad_a():

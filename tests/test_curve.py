@@ -206,9 +206,32 @@ def test_c2_report(built_curve):
     assert abs(s0 + 4.0) < 0.15
     assert abs(s1 + 2.5) < 0.15
     assert abs(s2 + 1.0) < 0.15
-    assert rep.quotient_d1 < 1e-9   # (rho-1)/xi -> 0
-    assert rep.quotient_d2 < 1e-4   # rho'/xi -> 0
     assert rep.max_slope_error() < 0.15
+    # rho'(0+) = rho''(0+) = 0; window midpoints, as the junctions are exact zeros of rho - 1
+    far = rep.k_values[rep.k_values >= 1000]
+    mid = 0.5 * (spiral.xi(far) + spiral.xi(far + 1))
+    d, d1, _ = built_curve.deviation(mid)
+    assert np.max(np.abs(d) / mid) < 1e-9   # (rho-1)/xi -> 0
+    assert np.max(np.abs(d1) / mid) < 1e-4  # rho'/xi -> 0
+
+
+def test_window_samples_rows_equal_single_windows(built_curve):
+    ks = np.array([1, 9, 67, 4095, 4096, 99_999, 129_998])
+    rows = built_curve.window_samples(ks, 96)
+    assert rows.shape == (ks.size, 96)
+    for k, row in zip(ks.tolist(), rows):
+        one = np.linspace(float(spiral.xi(k + 1)), float(spiral.xi(k)), 96)
+        assert np.array_equal(built_curve.window_samples(k, 96), one)
+        assert np.array_equal(row, one)
+
+
+def test_c2_sups_equal_per_window_calls(built_curve):
+    rep = c2_check_at_zero(built_curve)
+    assert rep.k_values.size == rep.sup_dev.size > 40
+    for i, k in enumerate(rep.k_values.tolist()):
+        d, d1, d2 = built_curve.deviation(np.linspace(float(spiral.xi(k + 1)), float(spiral.xi(k)), 130))
+        assert (rep.sup_dev[i], rep.sup_d1[i], rep.sup_d2[i]) == (
+            np.abs(d).max(), np.abs(d1).max(), np.abs(d2).max())
 
 
 def test_c2_strict_failure_path(built_curve):

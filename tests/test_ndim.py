@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -122,8 +124,9 @@ def test_negdef_report(section4):
     assert rep.grid_size >= 4000
     assert rep.failures == []
     assert rep.scalar_max < 0.0
-    d = rep.to_dict()
+    d = json.loads(json.dumps(asdict(rep)))
     assert d["n"] == 4 and d["max_eigenvalue"] == rep.max_eigenvalue
+    assert d["window_f1_range"] == list(rep.window_f1_range)
 
 
 def test_negdef_window_bounds(section4):

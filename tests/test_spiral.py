@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conebilliards.errors import DomainError
-from conebilliards.geometry import angle_between, reflect_direction, unit
+from conebilliards.geometry import (
+    OrientedLine,
+    angle_between,
+    line_distance_sq,
+    reflect_direction,
+    unit,
+)
 from conebilliards.spiral import (
     SQRT2,
     TAIL_BLOCK,
@@ -244,6 +250,32 @@ def test_equal_angles(a):
         al, be = traj.verify_equal_angles(int(k))
         assert abs(al - be) < 1e-11
         assert abs(math.cos(al) - math.sin(traj.tilt(int(k)))) < 1e-11
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_array_checks_match_per_k_route(a):
+    # the array paths against one OrientedLine and one p/|p| per k
+    traj = SpiralTrajectory(a, kmax=110_000)
+    ks = np.unique(np.geomspace(traj.k0 + 1, 100_000, 90).astype(int))
+    dist = traj.verify_distance(ks)
+    alpha, beta = traj.verify_equal_angles(ks)
+    for i, k in enumerate(ks.tolist()):
+        p = traj.vertex(k)
+        u = p / np.linalg.norm(p)
+        line = OrientedLine(p, traj.direction(k))
+        assert abs(dist[i] - (math.sqrt(line_distance_sq(line)) - SQRT2)) <= 1e-15
+        assert abs(alpha[i] - angle_between(traj.direction(k), u)) <= 1e-15
+        assert abs(beta[i] - angle_between(traj.direction(k - 1), u)) <= 1e-15
+
+
+def test_alpha_recurrence_near_lower_boundary():
+    # at a = -1.57, cos A_k0 = 2.8e-11 and arccos(sin A_k) lost ~1.4e-8
+    a = -1.57
+    ks = np.arange(k0(a), k0(a) + 2000)
+    traj = SpiralTrajectory(a, kmax=int(ks[-1]) + 1)
+    al = traj.alpha_closed(ks)
+    assert np.abs(traj.alpha_closed(ks + 1) - (al - theta(ks))).max() < 1e-11
+    assert np.abs(np.cos(al) - np.sin(traj.tilt(ks))).max() < 1e-15
 
 
 def test_alpha_limit():
