@@ -6,7 +6,6 @@ from .errors import (
     ConstructionError,
     ConvexityFailure,
     DomainError,
-    Escape,
     GrazingError,
     ReplayFailure,
     TangencyWarning,

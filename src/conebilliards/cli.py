@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, curve as curve_mod, elliptic, ndim, spiral, svgplot
-from .errors import ConstructionError, ConvexityFailure, DomainError, ReplayFailure
+from .errors import ConstructionError, ConvexityFailure, DomainError, ReplayFailure, Termination
 from .spiral import SpiralParams, SpiralTrajectory
 
 SCHEMA_VERSION = 1
@@ -72,7 +72,8 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 # elliptic
 # ---------------------------------------------------------------------------
 
-def _one_trajectory(cone, seed: int, index: int) -> dict:
+def _one_trajectory(cone, seed: int, index: int) -> tuple:
+    """The CSV row of trajectory ``index`` and how it ended."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     log = elliptic.run_random(cone, rng)
     integrals = log.integrals()
@@ -91,16 +92,14 @@ def _one_trajectory(cone, seed: int, index: int) -> dict:
         "sum_theta": float(th.sum()),
         "drift_i1": d1,
         "drift_i2": d2,
-    }
+    }, log.termination
 
 
 def cmd_elliptic_simulate(args) -> int:
-    if not args.semi_a > args.semi_b > 0:
-        raise _fail(f"need --semi-a > --semi-b > 0, got {args.semi_a}, {args.semi_b}")
     _check_size("--count", args.count, 1, MAX_COUNT)
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     t0 = time.monotonic()
-    rows = [_one_trajectory(cone, args.seed, i) for i in range(args.count)]
+    rows, ends = zip(*(_one_trajectory(cone, args.seed, i) for i in range(args.count)))
 
     violations = [r for r in rows if r["bound"] >= 0 and r["reflections"] > r["bound"]]
     bad_sum = [r for r in rows if r["sum_theta"] >= math.pi]
@@ -129,7 +128,8 @@ def cmd_elliptic_simulate(args) -> int:
             "sum_theta_ge_pi": len(bad_sum),
         },
         measured={"max_integral_drift": max_drift,
-                  "trajectories": len(rows)},
+                  "trajectories": len(rows),
+                  "terminations": {t.value: ends.count(t) for t in Termination}},
         wall_time_s=time.monotonic() - t0,
     )
     report.dump(args.report)
@@ -137,10 +137,6 @@ def cmd_elliptic_simulate(args) -> int:
 
 
 def cmd_elliptic_bound(args) -> int:
-    if not args.semi_a > args.semi_b > 0:
-        raise _fail(f"need --semi-a > --semi-b > 0, got {args.semi_a}, {args.semi_b}")
-    if args.c1 <= 0 or args.c2 <= 0:
-        raise _fail("need --c1 > 0 and --c2 > 0")
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     angle = elliptic.min_vertex_angle(cone, args.c1, args.c2)
     bound = elliptic.reflection_bound(cone, args.c1, args.c2)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import C2CheckFailure, ConstructionError, DomainError, Escape, ReplayFailure
+from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
 from .geometry import GeneralCone, PreciseLine, cone_step_precise, line_distance_sq
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
@@ -408,7 +408,12 @@ class ReplayReport:
     closed_form_length: float  # closed-form length of the replayed range
     tail_length: float         # remaining length beyond the replayed range
     total_length: float
-    escaped: bool
+    termination: Optional[Termination]  # None when every step reflected
+
+    @property
+    def escaped(self) -> bool:
+        """True when the replay ended before its last step."""
+        return self.termination is not None
 
 
 VERTEX_TOL = 1e-7
@@ -438,13 +443,13 @@ def replay(
     max_rel = 0.0
     max_dist = 0.0
     length = 0.0
-    escaped = False
+    termination = None
     first_bad = None
     for j in range(steps):
         k = k_start + 1 + j
         stepped = cone_step_precise(cone, state)
-        if isinstance(stepped, Escape):
-            escaped = True
+        if isinstance(stepped, Termination):
+            termination = stepped
             break
         length += float(np.linalg.norm(stepped.base - state.base))
         expected = traj.vertex(k)
@@ -467,11 +472,11 @@ def replay(
         closed_form_length=closed,
         tail_length=traj.tail_length(k_start + steps),
         total_length=traj.total_length(),
-        escaped=escaped,
+        termination=termination,
     )
-    if strict and (first_bad is not None or escaped):
+    if strict and (first_bad is not None or termination is not None):
         raise ReplayFailure(
-            f"replay diverged (first bad k = {first_bad}, escaped = {escaped})",
+            f"replay diverged (first bad k = {first_bad}, termination = {termination})",
             first_bad_index=first_bad,
         )
     return report

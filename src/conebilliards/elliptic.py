@@ -13,13 +13,14 @@ I1 = c1 > 0, I2 = c2 > 0.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, Escape, GrazingError, TangencyWarning, Termination
+from .errors import DomainError, GrazingError, TangencyWarning, Termination
 from .geometry import (
     OrientedLine,
     angle_between,
@@ -46,8 +47,9 @@ class EllipticCone:
     b: float
 
     def __post_init__(self):
-        if not (self.a > self.b > 0.0):
-            raise DomainError(f"need a > b > 0, got a={self.a}, b={self.b}")
+        if not (self.a > self.b > 0.0 and self.a * self.a < math.inf and self.b * self.b > 0.0):
+            raise DomainError(f"need a > b > 0 with a^2 finite and b^2 > 0, "
+                              f"got a={self.a}, b={self.b}")
 
     def quadric(self, x) -> float:
         """Q(x) = (x1/a)^2 + (x2/b)^2 - x3^2; negative strictly inside."""
@@ -155,8 +157,9 @@ def next_intersection(
     cone: EllipticCone,
     line: OrientedLine,
     from_surface: bool = False,
-) -> Union[np.ndarray, Escape]:
-    """Closed-form first hit of the forward ray with the surface, or Escape.
+) -> Union[np.ndarray, Termination]:
+    """Closed-form first hit of the forward ray with the surface, or ESCAPED
+    or APEX.
 
     Substituting x = p + t v into Q gives A t^2 + B t + C; roots are taken
     through the stable q-form and filtered by t > t_min and x3 > 0.  When
@@ -172,20 +175,22 @@ def next_intersection(
     C = cone.quadric(p)
     t_min = T_MIN_FACTOR * float(np.linalg.norm(p))
 
-    def accept(t: float) -> Optional[np.ndarray]:
-        if t > t_min and p[2] + t * v[2] > 0.0:
-            hit = p + t * v
-            if near_apex(hit, p):
-                return None  # caller flags the apex
+    def accept(t: float) -> Union[np.ndarray, Termination, None]:
+        """The hit at root t, APEX when it is the apex, None if t is no hit."""
+        if not t > t_min:
+            return None
+        hit = p + t * v
+        apex = near_apex(hit, p)
+        if hit[2] > 0.0 and not apex:
             return hit
-        return None
+        return Termination.APEX if apex else None
 
     if abs(A) < LINEAR_A_TOL:
         # direction on the asymptotic cone: at most one more crossing
         if from_surface or abs(B) < 1e-300:
-            return Escape()
+            return Termination.ESCAPED
         hit = accept(-C / B)
-        return hit if hit is not None else Escape()
+        return Termination.ESCAPED if hit is None else hit
 
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
@@ -193,27 +198,19 @@ def next_intersection(
             warnings.warn("discriminant clamped to zero: tangent ray", TangencyWarning)
             disc = 0.0
         else:
-            return Escape()
+            return Termination.ESCAPED
     sq = math.sqrt(disc)
     q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
     if from_surface:
         # Vieta: the far root q/A; the near-zero one is the current vertex
         hit = accept(q / A)
-        if hit is None and _apex_hit(p, v, q / A, t_min):
-            return Escape(apex=True)
-        return hit if hit is not None else Escape()
+        return Termination.ESCAPED if hit is None else hit
     roots = sorted({q / A, C / q} if q != 0.0 else {0.0})
     for t in roots:
         hit = accept(t)
         if hit is not None:
             return hit
-        if _apex_hit(p, v, t, t_min):
-            return Escape(apex=True)
-    return Escape()
-
-
-def _apex_hit(p, v, t, t_min) -> bool:
-    return t > t_min and near_apex(p + t * v, p)
+    return Termination.ESCAPED
 
 
 @dataclass
@@ -267,15 +264,15 @@ def run(
     max_steps: int = 100_000,
     started_on_surface: bool = False,
 ) -> TrajectoryLog:
-    """Iterate reflections until Escape, apex, grazing incidence, or max_steps."""
+    """Iterate reflections until escape, apex, grazing incidence, or max_steps."""
     bases, dirs = [line0.base], [line0.dir]
     line = line0
     from_surface = started_on_surface
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
         hit = next_intersection(cone, line, from_surface=from_surface)
-        if isinstance(hit, Escape):
-            termination = Termination.APEX if hit.apex else Termination.ESCAPED
+        if isinstance(hit, Termination):
+            termination = hit
             break
         try:
             out = reflect_direction(line.dir, unit(cone.gradient(hit)))
@@ -298,6 +295,10 @@ def _arcsin_argument(cone: EllipticCone, c1: float, c2: float) -> float:
         raise DomainError("the bound requires c1 > 0 and c2 > 0")
     a, b = cone.a, cone.b
     arg = 2.0 * a * b * math.sqrt(c1 * c2) / (a**2 * (b**2 + 1.0) * c1 + (b**2 + 1.0) * c2)
+    # nan or 0 when a term over- or underflows (c1 or c2 infinite or nan
+    # included); below the smallest normal float pi / arcsin(arg) overflows
+    if not arg >= sys.float_info.min:
+        raise DomainError(f"arcsin argument {arg} out of float range for c1={c1}, c2={c2}")
     if arg > 1.0:
         if arg > 1.0 + ARC_CLAMP:
             raise DomainError(f"arcsin argument {arg} > 1 beyond rounding")

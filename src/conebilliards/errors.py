@@ -1,9 +1,8 @@
-"""Shared error types, warnings, and simulator outcome sentinels."""
+"""Shared error types, warnings, and the ways a trajectory ends."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -47,18 +46,10 @@ class TangencyWarning(UserWarning):
 
 
 class Termination(enum.Enum):
-    ESCAPED = "escaped"
-    MAX_STEPS = "max_steps"
-    APEX = "apex"
-    GRAZING = "grazing"
+    """How a step or a trajectory ended without a reflection."""
 
-
-@dataclass(frozen=True)
-class Escape:
-    """Outcome of an intersection query whose forward ray never returns.
-
-    ``apex`` is set when the ray hit (numerically) the cone apex; the
-    dynamics there are undefined and we refuse to guess.
-    """
-
-    apex: bool = False
+    ESCAPED = "escaped"          # the forward ray never meets the surface again
+    MAX_STEPS = "max_steps"      # the run hit its reflection cap
+    APEX = "apex"                # the hit lies (numerically) at the apex
+    GRAZING = "grazing"          # |<v,n>| too small to reflect
+    NO_BRACKET = "no_bracket"    # the root search found no sign change to bisect

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, Escape, GrazingError, TangencyWarning
+from .errors import DomainError, GrazingError, TangencyWarning, Termination
 
 # Contract / numerics constants.  All tolerances used by this module are
 # surfaced here.
@@ -367,8 +367,9 @@ def _make_gap(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray, v: np.ndarra
 
 
 def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
-                   v: np.ndarray) -> Optional[float]:
-    """Root t of the surface crossing, or None when the ray escapes.
+                   v: np.ndarray) -> Union[float, Termination]:
+    """Root t of the surface crossing; ESCAPED when the ray never returns,
+    NO_BRACKET when the search finds no sign change to bisect.
 
     Brackets the sign change of the compensated gap by a coarse scan, then
     bisects it to the last bit.  The solid cone is convex, so the gap has a
@@ -378,7 +379,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     t_min = T_MIN_FACTOR * scale
 
     if _escapes(cone, v):
-        return None
+        return Termination.ESCAPED
 
     gap = _make_gap(cone, p, p_tail, v)
     lo = t_min
@@ -395,8 +396,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
         lo, g_lo = lo_new, g_new
         budget -= 1
     if g_lo >= 0.0:
-        warnings.warn("could not step strictly inside the cone", TangencyWarning)
-        return None
+        return Termination.NO_BRACKET  # no point strictly inside to start from
 
     hi = lo + step
     g_hi = gap(hi)
@@ -407,7 +407,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
         # uniform scan near the base, then geometric growth for far exits
         hi = lo + step if scans < 256 else lo * 2.0
         if hi > 1e12 * scale:
-            return None
+            return Termination.NO_BRACKET  # _escapes said the ray comes back
         g_hi = gap(hi)
 
     if hi - lo < BRACKET_WARN * scale:
@@ -446,20 +446,21 @@ class PreciseLine:
         return OrientedLine(self.base, self.dir)
 
 
-def cone_step_precise(cone: GeneralCone, state: PreciseLine) -> Union[PreciseLine, Escape]:
+def cone_step_precise(cone: GeneralCone, state: PreciseLine) -> Union[PreciseLine, Termination]:
     """Advance one reflection: first surface hit of the forward ray, with a
-    compensated hit point, reflected off the surface normal; or Escape."""
+    compensated hit point, reflected off the surface normal; or ESCAPED,
+    APEX or NO_BRACKET."""
     p, v = state.base, state.dir
     if p.size != 3:
         raise DomainError("general-cone stepping is implemented in R^3")
     t_hit = _intersect_ray(cone, p, state.base_tail, v)
-    if t_hit is None:
-        return Escape()
+    if isinstance(t_hit, Termination):
+        return t_hit
     hit = np.empty(3)
     tail = np.empty(3)
     for i in range(3):
         hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(state.base_tail[i]), t_hit, float(v[i]))
     if near_apex(hit, p):
-        return Escape(apex=True)
+        return Termination.APEX
     out = reflect_direction(v, cone.normal_at(hit))
     return PreciseLine(hit, tail, out)

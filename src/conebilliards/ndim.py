@@ -82,35 +82,27 @@ class LiftedSection:
         return f, fp, fpp
 
     # -- the lifted graph ---------------------------------------------------------
-    def _split(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.size != self.n - 2:
-            raise DomainError(f"expected {self.n - 2} transverse coordinates")
-        if float(np.dot(y, y)) >= 1.0:
-            raise DomainError("point outside the open unit disk D^{n-2}")
-        return y[0], y[1:]
-
-    def F1(self, y) -> float:
-        """sqrt(f1(x2)^2 - sum_{i>=3} (x^i)^2)."""
-        x2, rest = self._split(y)
-        f, _, _ = self.f1(x2)
-        rad = f * f - float(np.dot(rest, rest))
-        if rad <= 0.0:
-            raise DomainError("negative radicand: point outside the lifted section")
-        return math.sqrt(rad)
-
-    def F1_batch(self, Y: np.ndarray) -> np.ndarray:
-        """F1 for a batch of points, shape (N, n-2)."""
+    def _lift(self, Y):
+        """(Y, (f1, f1', f1'') at x2, F1) for a batch of points, shape (N, n-2),
+        refusing points off the open unit disk or outside the lifted section."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.n - 2:
             raise DomainError(f"expected shape (N, {self.n - 2})")
         if np.any(np.einsum("ij,ij->i", Y, Y) >= 1.0):
             raise DomainError("a point lies outside the open unit disk")
-        f, _, _ = self.f1(Y[:, 0])
+        f, fp, fpp = self.f1(Y[:, 0])
         rad = f * f - np.einsum("ij,ij->i", Y[:, 1:], Y[:, 1:])
         if np.any(rad <= 0.0):
             raise DomainError("negative radicand: point outside the lifted section")
-        return np.sqrt(rad)
+        return Y, (f, fp, fpp), np.sqrt(rad)
+
+    def F1(self, y) -> float:
+        """sqrt(f1(x2)^2 - sum_{i>=3} (x^i)^2)."""
+        return float(self.F1_batch(np.asarray(y, dtype=float)[None])[0])
+
+    def F1_batch(self, Y: np.ndarray) -> np.ndarray:
+        """F1 for a batch of points, shape (N, n-2)."""
+        return self._lift(Y)[2]
 
     def hessian(self, y) -> np.ndarray:
         """Closed-form Hessian of F1 at y = (x2, x3, ..., x^{n-1})."""
@@ -118,18 +110,8 @@ class LiftedSection:
 
     def hessian_batch(self, Y: np.ndarray) -> np.ndarray:
         """Hessians for a batch of points, shape (N, n-2) -> (N, n-2, n-2)."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.n - 2:
-            raise DomainError(f"expected shape (N, {self.n - 2})")
-        if np.any(np.einsum("ij,ij->i", Y, Y) >= 1.0):
-            raise DomainError("a point lies outside the open unit disk")
-        x2 = Y[:, 0]
+        Y, (f, fp, fpp), F = self._lift(Y)
         rest = Y[:, 1:]
-        f, fp, fpp = self.f1(x2)
-        rad = f * f - np.einsum("ij,ij->i", rest, rest)
-        if np.any(rad <= 0.0):
-            raise DomainError("negative radicand: point outside the lifted section")
-        F = np.sqrt(rad)
         F3 = F**3
         m = self.n - 2
         H = np.empty((Y.shape[0], m, m))

@@ -41,6 +41,16 @@ def test_simulate_deterministic(tmp_path):
     assert header.startswith("index,seed,c1,c2,reflections,bound")
 
 
+def test_simulate_termination_histogram(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main(["elliptic", "simulate", "--count", "60", "--seed", "7",
+                 "--report", str(rep)]) == 0
+    ends = json.loads(rep.read_text())["measured"]["terminations"]
+    assert list(ends) == ["escaped", "max_steps", "apex", "grazing", "no_bracket"]
+    assert sum(ends.values()) == 60
+    assert ends["escaped"] > 0
+
+
 def test_simulate_rejects_degenerate_cone():
     with pytest.raises(SystemExit) as exc:
         main(["elliptic", "simulate", "--semi-a", "1", "--semi-b", "1", "--count", "3"])
@@ -103,6 +113,12 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["ndim", "check", "--tol", "1"],
     ["curve", "build", "--format", "json"],
     ["spiral", "vertices", "--report", "r.json"],
+    # non-finite or overflowing cone and integral values
+    ["elliptic", "bound", "--c1", "inf", "--c2", "1"],
+    ["elliptic", "bound", "--c1", "nan", "--c2", "1"],
+    ["elliptic", "bound", "--c1", "1", "--c2", "inf"],
+    ["elliptic", "bound", "--semi-a", "inf", "--c1", "1", "--c2", "1"],
+    ["elliptic", "simulate", "--semi-a", "1e308", "--count", "2"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:

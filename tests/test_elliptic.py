@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conebilliards import elliptic
-from conebilliards.errors import DomainError, Escape, GrazingError, Termination
+from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     OrientedLine,
     alpha_theta_residuals,
@@ -114,14 +114,20 @@ def test_next_intersection_residual_random(cone, rng):
             continue
         line = OrientedLine(base, unit(rng.normal(size=3)))
         hit = next_intersection(cone, line)
-        if isinstance(hit, Escape):
+        if hit is Termination.ESCAPED:
             continue
         assert abs(cone.quadric(hit)) < 1e-11 * max(1.0, float(np.dot(hit, hit)))
         assert hit[2] > 0.0
 
 
 def test_next_intersection_escape_up_axis(cone):
-    assert isinstance(next_intersection(cone, OrientedLine([0, 0, 1], [0, 0, 1])), Escape)
+    assert next_intersection(cone, OrientedLine([0, 0, 1], [0, 0, 1])) is Termination.ESCAPED
+
+
+def test_next_intersection_apex_down_axis(cone):
+    line = OrientedLine([0, 0, 1], [0, 0, -1])
+    assert next_intersection(cone, line) is Termination.APEX
+    assert run(cone, line).termination is Termination.APEX
 
 
 def test_vieta_no_duplicate_vertex(cone, rng):
@@ -129,7 +135,7 @@ def test_vieta_no_duplicate_vertex(cone, rng):
     for _ in range(200):
         line = sample_start(cone, rng)
         hit = next_intersection(cone, line, from_surface=True)
-        if isinstance(hit, Escape):
+        if hit is Termination.ESCAPED:
             continue
         assert float(np.linalg.norm(hit - line.base)) > 1e-8
 

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conebilliards.errors import DomainError, Escape, GrazingError
+from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
+    APEX_TOL,
     CircularSection,
     GeneralCone,
     OrientedLine,
@@ -305,7 +307,7 @@ def _circular_root(p, v):
 def test_circular_cone_hit(circular_cone):
     line = OrientedLine([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     stepped = _step(circular_cone, line)
-    assert not isinstance(stepped, Escape)
+    assert isinstance(stepped, PreciseLine)
     assert np.allclose(stepped.base, [1.0, 0.0, 1.0], atol=1e-12)
     # random starts inside against the closed-form quadric root
     rng = np.random.Generator(np.random.Philox(7301))
@@ -319,10 +321,10 @@ def test_circular_cone_hit(circular_cone):
         stepped = _step(circular_cone, OrientedLine(p, v))
         t = _circular_root(p, v)
         if t is None:
-            assert isinstance(stepped, Escape)
+            assert stepped is Termination.ESCAPED
             escapes += 1
             continue
-        assert not isinstance(stepped, Escape)
+        assert isinstance(stepped, PreciseLine)
         expected = p + t * v
         err = np.linalg.norm(stepped.base - expected) / np.linalg.norm(expected)
         assert err < 1e-12
@@ -333,12 +335,60 @@ def test_circular_cone_hit(circular_cone):
 def test_circular_cone_ruling_escape(circular_cone):
     ruling = unit([1.0, 0.0, 1.0])
     line = OrientedLine([0.0, 0.0, 1.0], ruling)
-    assert isinstance(_step(circular_cone, line), Escape)
+    assert _step(circular_cone, line) is Termination.ESCAPED
 
 
 def test_circular_cone_axis_escape(circular_cone):
     line = OrientedLine([0.1, 0.0, 1.0], [0.0, 0.0, 1.0])
-    assert isinstance(_step(circular_cone, line), Escape)
+    assert _step(circular_cone, line) is Termination.ESCAPED
+
+
+def test_circular_cone_apex(circular_cone):
+    line = OrientedLine([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    assert _step(circular_cone, line) is Termination.APEX
+
+
+@pytest.mark.parametrize("base, direction", [
+    # from a surface point, 1e-10 inward of the tangent (0, 1, 0): the ray is
+    # inside only for t < 4e-10, below t_min, so no inside point is found
+    ([1.0, 0.0, 1.0], unit([-1e-10, 1.0, 1e-10])),
+    # a base outside the cone
+    ([2.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+])
+def test_circular_cone_no_bracket(circular_cone, base, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _step(circular_cone, OrientedLine(base, direction)) is Termination.NO_BRACKET
+
+
+@given(st.floats(0.5, 2.0), st.floats(0.0, 0.95), st.floats(-math.pi, math.pi),
+       st.floats(0.0, math.pi).filter(lambda b: abs(b - math.pi / 4.0) >= 1e-5),
+       st.floats(-math.pi, math.pi))
+@settings(max_examples=300, deadline=None)
+def test_cone_step_matches_circular_oracle(circular_cone, z, s, phi, beta, psi):
+    # base at height z and radius s z; direction at polar angle beta from the
+    # axis, kept 1e-5 off the asymptotic 45 degrees, where the exit runs off
+    # to t ~ 1e12 |p| and the oracle's plain quadric loses its digits
+    p = np.array([s * z * math.cos(phi), s * z * math.sin(phi), z])
+    v = unit([math.sin(beta) * math.cos(psi), math.sin(beta) * math.sin(psi), math.cos(beta)])
+    line = OrientedLine(p, v)
+    # rays within rounding of the apex end APEX (test_circular_cone_apex)
+    assume(line_distance_sq(line) > (2.0 * APEX_TOL * max(1.0, float(np.linalg.norm(p)))) ** 2)
+    stepped = _step(circular_cone, line)
+    t = _circular_root(p, v)
+    if t is None:
+        assert stepped is Termination.ESCAPED
+        return
+    assert isinstance(stepped, PreciseLine)
+    hit = stepped.base
+    size = float(np.linalg.norm(hit))
+    # t is a float, and its last bit moves the hit by eps t along the ray
+    eps = np.finfo(float).eps
+    assert abs(hit[0] ** 2 + hit[1] ** 2 - hit[2] ** 2) <= 8.0 * eps * size * (size + t)
+    assert abs(float(np.dot(hit - p, v)) - t) <= 1e-12 * t
+    # I1 <= |p|^2, and the m_ij round relative to |p|, not to I1
+    after = line_distance_sq(stepped.as_line())
+    assert abs(after - line_distance_sq(line)) <= 1e-10 * float(np.dot(p, p))
 
 
 def test_circular_cone_symmetric_chord(circular_cone):
@@ -346,7 +396,7 @@ def test_circular_cone_symmetric_chord(circular_cone):
     # (1,0,0) into (0,0,1), symmetric under x -> -x
     line = OrientedLine([-1.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     stepped = _step(circular_cone, line)
-    assert not isinstance(stepped, Escape)
+    assert isinstance(stepped, PreciseLine)
     assert np.allclose(stepped.base, [1.0, 0.0, 1.0], atol=1e-10)
     assert np.allclose(stepped.dir, [0.0, 0.0, 1.0], atol=1e-10)
     # tilted chord in the same plane: reflection swaps the (x1, x3) slots
@@ -364,13 +414,8 @@ def test_cone_step_preserves_distance(circular_cone, rng):
         line = OrientedLine(base, d)
         before = line_distance_sq(line)
         stepped = _step(circular_cone, line)
-        if isinstance(stepped, Escape) or before < 1e-12:
+        if stepped is Termination.ESCAPED or before < 1e-12:
             continue
         after = line_distance_sq(stepped.as_line())
         assert abs(after - before) < 1e-10 * max(1.0, before)
 
-
-def test_escape_has_apex_flag_type():
-    esc = Escape(apex=True)
-    assert esc.apex
-    assert not Escape().apex

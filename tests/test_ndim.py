@@ -49,6 +49,17 @@ def test_F1_domain_errors(section4):
         section4.F1(np.array([1.2, 0.0]))
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_F1_scalar_equals_batch_bitwise(built_curve, rng, n):
+    section = LiftedSection(built_curve, n=n)
+    d = rng.normal(size=(400, n - 2))
+    Y = 0.9 * rng.uniform(size=(400, 1)) ** (1.0 / (n - 2)) * d / np.linalg.norm(d, axis=1)[:, None]
+    batch = section.F1_batch(Y)
+    assert [section.F1(y) for y in Y] == batch.tolist()
+    with pytest.raises(DomainError):
+        section.F1(np.zeros(n - 1))  # one transverse coordinate too many
+
+
 def test_f1_matches_circle_off_the_wiggle_band(section4):
     # the profile is exactly sqrt(1 - x2^2) for x2 <= 0 and x2 >= 1/3
     for x2 in (-0.9, -0.5, -0.1, 0.34, 0.6, 0.95):
