@@ -436,7 +436,8 @@ _FLAGS = {
     "--report": dict(default=None, help="write the JSON run report here"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--seed": dict(type=int, default=20250801),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=1e-10, help="spiral verify's distance threshold is "
+                  "max(TOL, 1e-13 |tan A_k|): TOL below that floor has no effect"),
 }
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
-from .geometry import GeneralCone, PreciseLine, cone_step_precise, line_distance_sq
+from .geometry import GeneralCone, PreciseLine, _dots, cone_step_precise, momentum_pairs
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
 
@@ -439,27 +439,28 @@ def replay(
         raise DomainError(f"replay range k = {k_start}..{k_start + steps - 1} "
                           f"runs past the curve's kmax = {curve.kmax}")
     cone = GeneralCone(curve)
-    state = PreciseLine.from_line(traj.line(k_start))
-    max_rel = 0.0
-    max_dist = 0.0
-    length = 0.0
+    states = [PreciseLine.from_line(traj.line(k_start))]
     termination = None
-    first_bad = None
-    for j in range(steps):
-        k = k_start + 1 + j
-        stepped = cone_step_precise(cone, state)
+    for _ in range(steps):
+        stepped = cone_step_precise(cone, states[-1])
         if isinstance(stepped, Termination):
             termination = stepped
             break
-        length += float(np.linalg.norm(stepped.base - state.base))
-        expected = traj.vertex(k)
-        rel = float(np.linalg.norm(stepped.base - expected) / np.linalg.norm(expected))
-        if rel > max_rel:
-            max_rel = rel
-        if rel > VERTEX_TOL and first_bad is None:
-            first_bad = k
-        max_dist = max(max_dist, abs(line_distance_sq(stepped.as_line()) - 2.0))
-        state = stepped
+        states.append(stepped)
+    bases = np.array([s.base for s in states])
+    chords = np.diff(bases, axis=0)
+    # cumsum adds left to right, where np.sum adds pairwise
+    length = float(np.cumsum(np.append(0.0, np.sqrt(_dots(chords, chords))))[-1])
+    x, v = bases[1:], np.array([s.dir for s in states])[1:]
+    expected = traj.vertex(np.arange(k_start + 1, k_start + len(states)))
+    miss = x - expected
+    rel = np.sqrt(_dots(miss, miss)) / np.sqrt(_dots(expected, expected))
+    bad = np.flatnonzero(rel > VERTEX_TOL)
+    first_bad = k_start + 1 + int(bad[0]) if bad.size else None
+    # the angular momenta m_01, m_02, m_12 of each outgoing line
+    m = np.stack([x[:, i] * v[:, j] - x[:, j] * v[:, i] for i, j in momentum_pairs(3)], axis=-1)
+    max_rel = float(rel.max(initial=0.0))
+    max_dist = float(np.abs(_dots(m, m) - 2.0).max(initial=0.0))
     closed = float(traj.partial_length(k_start, k_start + steps - 1))
     prefix = float(traj.partial_length(traj.k0, k_start - 1)) if k_start > traj.k0 else 0.0
     report = ReplayReport(

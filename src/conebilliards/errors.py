@@ -42,7 +42,8 @@ class ReplayFailure(RuntimeError):
 
 
 class TangencyWarning(UserWarning):
-    """Root bracketing came out degenerate: the ray is near-tangent."""
+    """An elliptic discriminant or reflection-bound arcsin argument was
+    clamped; a near-tangent general-cone hit ends GRAZING instead."""
 
 
 class Termination(enum.Enum):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conebilliards import geometry
 from conebilliards.curve import build_curve
+from conebilliards.errors import GrazingError
 from conebilliards.spiral import SpiralParams, SpiralTrajectory, shared_tail_table
 
 
@@ -31,3 +33,20 @@ def tail_table():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(20250801))
+
+
+@pytest.fixture()
+def second_reflection_grazes(monkeypatch):
+    """Make the second general-cone reflection raise GrazingError; the list
+    of normals reflected off so far is returned (clear it to re-arm)."""
+    real = geometry.reflect_direction
+    calls = []
+
+    def grazes_second(v, n):
+        calls.append(n)
+        if len(calls) == 2:
+            raise GrazingError("grazing incidence")
+        return real(v, n)
+
+    monkeypatch.setattr(geometry, "reflect_direction", grazes_second)
+    return calls

@@ -283,6 +283,14 @@ def test_replay_command(tmp_path):
     assert data["measured"]["flight_length"] < data["measured"]["total_length"]
 
 
+def test_replay_grazing_exits_1(second_reflection_grazes, capsys):
+    # a grazing reflection ends the replay with a named termination and a
+    # failed verification, not a traceback
+    assert main(["replay", "--kmax", "100", "--steps", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay failed: ") and "GRAZING" in err
+
+
 def test_ndim_command(tmp_path):
     rep = tmp_path / "rep.json"
     assert main(["ndim", "check", "--n", "4", "--grid", "1500", "--steps", "200",

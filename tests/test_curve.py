@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conebilliards.errors import C2CheckFailure, ConstructionError, DomainError
-from conebilliards import spiral
+from conebilliards.errors import (
+    C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination,
+)
+from conebilliards import geometry, spiral
 from conebilliards.curve import (
     ArcPatch,
     bump,
@@ -15,7 +18,8 @@ from conebilliards.curve import (
     replay,
     sign_change_census,
 )
-from conebilliards.spiral import SpiralParams, normal_w
+from conebilliards.geometry import GeneralCone, PreciseLine, cone_step_precise
+from conebilliards.spiral import SpiralParams, SpiralTrajectory, normal_w
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +326,66 @@ def test_replay_deep_start(built_curve):
     rep = replay(built_curve, SpiralParams(a=0.0), steps=8, start_k=70_000, strict=True)
     assert not rep.escaped
     assert rep.max_vertex_rel_error < 1e-7
+
+
+def test_replay_states_pinned(built_curve):
+    # sha256 over base, base_tail and dir of the first 200 criterion-8 steps,
+    # taken from the scan-plus-bisection stepper before the predicted root
+    cone = GeneralCone(built_curve)
+    state = PreciseLine.from_line(SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1))
+    digest = hashlib.sha256()
+    for _ in range(200):
+        state = cone_step_precise(cone, state)
+        for part in (state.base, state.base_tail, state.dir):
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == "38126dc0e06da31147f772d34de395e283b4e10a9ee49aa7e84e763fa4234922"
+
+
+class _CountingSection:
+    """The built curve, counting its scalar and array deviation calls."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.curve, name)
+
+    def deviation(self, xi_val):
+        self.calls += 1
+        return self.curve.deviation(xi_val)
+
+    def polar(self, xi_val):
+        d, d1, d2 = self.deviation(xi_val)
+        return 1.0 + d, d1, d2
+
+
+def test_replay_section_evaluations_per_step(built_curve, monkeypatch):
+    # the predicted root costs 8 section evaluations a step here, where the
+    # scan and a bisection from 1e-2 |p| took 60.6; the scan never runs
+    section = _CountingSection(built_curve)
+    scans = []
+    scan_root = geometry._scan_root
+    monkeypatch.setattr(geometry, "_scan_root", lambda *a: scans.append(a) or scan_root(*a))
+    rep = replay(section, SpiralParams(a=0.0), steps=100, strict=True)
+    assert rep.start_k == built_curve.k1 + 1
+    assert section.calls <= 12 * 100
+    assert scans == []
+
+
+def test_replay_grazing_termination(built_curve, second_reflection_grazes):
+    # the second reflection grazes: the replay keeps the first step and
+    # ends GRAZING instead of raising
+    one = replay(built_curve, SpiralParams(a=0.0), steps=1, strict=True)
+    second_reflection_grazes.clear()
+    rep = replay(built_curve, SpiralParams(a=0.0), steps=5, strict=False)
+    assert rep.termination is Termination.GRAZING
+    assert len(second_reflection_grazes) == 2
+    assert rep.max_vertex_rel_error == one.max_vertex_rel_error
+    assert rep.simulated_length == one.simulated_length
+    second_reflection_grazes.clear()
+    with pytest.raises(ReplayFailure, match="GRAZING"):
+        replay(built_curve, SpiralParams(a=0.0), steps=5, strict=True)
 
 
 def test_replay_rejects_bad_start(built_curve):

@@ -1,13 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conebilliards import geometry
 from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     APEX_TOL,
+    T_MIN_FACTOR,
     CircularSection,
     GeneralCone,
     OrientedLine,
@@ -24,6 +27,7 @@ from conebilliards.geometry import (
     unit,
     wedge_reflection_count,
 )
+from conebilliards.spiral import SpiralTrajectory
 
 SQRT2 = math.sqrt(2.0)
 
@@ -389,6 +393,59 @@ def test_cone_step_matches_circular_oracle(circular_cone, z, s, phi, beta, psi):
     # I1 <= |p|^2, and the m_ij round relative to |p|, not to I1
     after = line_distance_sq(stepped.as_line())
     assert abs(after - line_distance_sq(line)) <= 1e-10 * float(np.dot(p, p))
+
+
+def _fallback_root(cone, state):
+    """The scan-plus-bisection route on its own: the fast path's oracle."""
+    scale = max(float(np.linalg.norm(state.base)), 1e-12)
+    gap = geometry._make_gap(cone, state.base, state.base_tail, state.dir)
+    return geometry._scan_root(gap, T_MIN_FACTOR * scale, scale)
+
+
+def _predicted_root(cone, state):
+    """_intersect_ray's root, asserting it came from the predicted bracket."""
+    with mock.patch.object(geometry, "_scan_root", wraps=geometry._scan_root) as scan:
+        t = geometry._intersect_ray(cone, state.base, state.base_tail, state.dir)
+    assert scan.call_count == 0, "the prediction fell back to the scan"
+    return t
+
+
+@given(st.floats(0.5, 2.0), st.floats(0.0, 0.95), st.floats(-math.pi, math.pi),
+       st.floats(0.0, math.pi).filter(lambda b: abs(b - math.pi / 4.0) >= 1e-5),
+       st.floats(-math.pi, math.pi))
+@settings(max_examples=300, deadline=None)
+def test_predicted_root_equals_fallback_root(circular_cone, z, s, phi, beta, psi):
+    # the strategy of test_cone_step_matches_circular_oracle; the first step
+    # starts strictly inside, the second on the surface, as a replay does
+    p = np.array([s * z * math.cos(phi), s * z * math.sin(phi), z])
+    v = unit([math.sin(beta) * math.cos(psi), math.sin(beta) * math.sin(psi), math.cos(beta)])
+    line = OrientedLine(p, v)
+    assume(line_distance_sq(line) > (2.0 * APEX_TOL * max(1.0, float(np.linalg.norm(p)))) ** 2)
+    state = PreciseLine.from_line(line)
+    for _ in range(2):
+        if geometry._escapes(circular_cone, state.dir):
+            return
+        assert _predicted_root(circular_cone, state) == _fallback_root(circular_cone, state)
+        state = cone_step_precise(circular_cone, state)
+        if not isinstance(state, PreciseLine):
+            return
+
+
+@pytest.mark.parametrize("start", ["k1+1", 1_000, 10_000])
+def test_predicted_root_equals_fallback_root_on_c2_cone(built_curve, start):
+    # seeded starts on the built witness cone: the trajectory's chord line k
+    # from its vertex, and from two seeded points just inside the cone
+    k = built_curve.k1 + 1 if start == "k1+1" else start
+    cone = GeneralCone(built_curve)
+    line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
+    rng = np.random.Generator(np.random.Philox(k))
+    for inward in (0.0, 1e-6, 1e-4):
+        shrink = 1.0 - inward * rng.uniform(0.5, 1.0)
+        state = PreciseLine.from_line(OrientedLine(line.base * [shrink, shrink, 1.0], line.dir))
+        for _ in range(16):
+            assert _predicted_root(cone, state) == _fallback_root(cone, state)
+            state = cone_step_precise(cone, state)
+            assert isinstance(state, PreciseLine)
 
 
 def test_circular_cone_symmetric_chord(circular_cone):
