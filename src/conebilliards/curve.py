@@ -33,26 +33,16 @@ SIGMA_DOMAIN = math.pi / 4.0
 # the plateau (bump) function
 # ---------------------------------------------------------------------------
 
-def _h(z):
-    out = np.zeros_like(z)
-    m = z > 0.0
-    out[m] = np.exp(-1.0 / z[m])
-    return out
-
-
-def _hp(z):
-    out = np.zeros_like(z)
-    m = z > 0.0
-    out[m] = np.exp(-1.0 / z[m]) / z[m] ** 2
-    return out
-
-
-def _hpp(z):
-    out = np.zeros_like(z)
+def _h_derivs(z):
+    """(h, h', h'') of h(z) = exp(-1/z), zero for z <= 0, from one exp."""
+    h, hp, hpp = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
     m = z > 0.0
     zm = z[m]
-    out[m] = np.exp(-1.0 / zm) * (1.0 / zm**4 - 2.0 / zm**3)
-    return out
+    e = np.exp(-1.0 / zm)
+    h[m] = e
+    hp[m] = e / zm**2
+    hpp[m] = e * (1.0 / zm**4 - 2.0 / zm**3)
+    return h, hp, hpp
 
 
 def _bump_interior(h, hb, hp, hbp, hpp, hbpp):
@@ -92,7 +82,8 @@ def bump(t):
     if isinstance(t, float) or np.ndim(t) == 0:
         return _bump_scalar(float(t))
     s = np.clip(3.0 * np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
-    a, ap, app = _bump_interior(_h(s), _h(1.0 - s), _hp(s), _hp(1.0 - s), _hpp(s), _hpp(1.0 - s))
+    (h, hp, hpp), (hb, hbp, hbpp) = _h_derivs(s), _h_derivs(1.0 - s)
+    a, ap, app = _bump_interior(h, hb, hp, hbp, hpp, hbpp)
     interior = (s > 0.0) & (s < 1.0)
     a = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, a))
     ap = np.where(interior, ap, 0.0)
@@ -383,16 +374,11 @@ def sign_change_census(curve: PolarCurve, k_lo: int, k_hi: int) -> int:
     """
     if k_lo <= curve.k1:
         raise DomainError("census range must lie above k1")
-    count = 0
-    for k in range(k_lo, k_hi + 1):
-        xik = float(spiral.xi(k))
-        below = xik - float(spiral.delta(k)) / 6.0
-        above = xik + float(spiral.delta(k - 1)) / 6.0
-        lo_dev = curve.deviation(below)[0]
-        hi_dev = curve.deviation(above)[0]
-        if lo_dev * hi_dev < 0.0:
-            count += 1
-    return count
+    k = np.arange(k_lo, k_hi + 1)
+    xik = spiral.xi(k)
+    lo_dev = curve.deviation(xik - spiral.delta(k) / 6.0)[0]
+    hi_dev = curve.deviation(xik + spiral.delta(k - 1) / 6.0)[0]
+    return int(np.count_nonzero(lo_dev * hi_dev < 0.0))
 
 
 @dataclass

@@ -6,8 +6,8 @@ Closed-form ray/quadric stepping plus the two conserved quantities
     I2 = a^2 m23^2 + b^2 m13^2 - m12^2
 
 and the reflection-count ceiling N = ceil(pi / arcsin q) with
-q = 2ab sqrt(c1 c2) / (a^2 (b^2+1) c1 + (b^2+1) c2) for trajectories with
-I1 = c1 > 0, I2 = c2 > 0.
+q = 2ab sqrt(r) / (a^2 (b^2+1) + (b^2+1) r), r = c2/c1, for trajectories
+with I1 = c1 > 0, I2 = c2 > 0.
 """
 
 from __future__ import annotations
@@ -153,20 +153,16 @@ def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
     return float(total)
 
 
-def next_intersection(
-    cone: EllipticCone,
-    line: OrientedLine,
-    from_surface: bool = False,
-) -> Union[np.ndarray, Termination]:
-    """Closed-form first hit of the forward ray with the surface, or ESCAPED
+def next_intersection(cone: EllipticCone, p: np.ndarray,
+                      v: np.ndarray) -> Union[np.ndarray, Termination]:
+    """Closed-form first hit of the ray p + t v with the surface, or ESCAPED
     or APEX.
 
-    Substituting x = p + t v into Q gives A t^2 + B t + C; roots are taken
-    through the stable q-form and filtered by t > t_min and x3 > 0.  When
-    the base is a reflection vertex the near-zero root is the vertex itself
-    and only the far root counts.
+    Substituting the ray into Q gives A t^2 + B t + C; of the roots, taken
+    through the stable q-form, the first counts that lies above t_min, is
+    an exit (2 A t + B >= 0) and has x3 > 0.  A base on the surface is an
+    entry crossing, so a reflection vertex never returns itself.
     """
-    p, v = line.base, line.dir
     if p.size != 3:
         raise DomainError("elliptic stepping lives in R^3")
     a2, b2 = cone.a**2, cone.b**2
@@ -174,42 +170,28 @@ def next_intersection(
     B = 2.0 * (p[0] * v[0] / a2 + p[1] * v[1] / b2 - p[2] * v[2])
     C = cone.quadric(p)
     t_min = T_MIN_FACTOR * float(np.linalg.norm(p))
-
-    def accept(t: float) -> Union[np.ndarray, Termination, None]:
-        """The hit at root t, APEX when it is the apex, None if t is no hit."""
-        if not t > t_min:
-            return None
-        hit = p + t * v
-        apex = near_apex(hit, p)
-        if hit[2] > 0.0 and not apex:
-            return hit
-        return Termination.APEX if apex else None
-
     if abs(A) < LINEAR_A_TOL:
-        # direction on the asymptotic cone: at most one more crossing
-        if from_surface or abs(B) < 1e-300:
-            return Termination.ESCAPED
-        hit = accept(-C / B)
-        return Termination.ESCAPED if hit is None else hit
-
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        if disc > -DISC_CLAMP:
-            warnings.warn("discriminant clamped to zero: tangent ray", TangencyWarning)
-            disc = 0.0
-        else:
-            return Termination.ESCAPED
-    sq = math.sqrt(disc)
-    q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
-    if from_surface:
-        # Vieta: the far root q/A; the near-zero one is the current vertex
-        hit = accept(q / A)
-        return Termination.ESCAPED if hit is None else hit
-    roots = sorted({q / A, C / q} if q != 0.0 else {0.0})
+        # direction on the asymptotic cone: at most one more crossing, an
+        # exit only for B > 0 (a subnormal B puts it at infinity)
+        roots = [-C / B] if B >= 1e-300 else []
+    else:
+        disc = B * B - 4.0 * A * C
+        if disc < 0.0:
+            if disc > -DISC_CLAMP:
+                warnings.warn("discriminant clamped to zero: tangent ray", TangencyWarning)
+                disc = 0.0
+            else:
+                return Termination.ESCAPED
+        sq = math.sqrt(disc)
+        q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
+        roots = sorted({q / A, C / q} if q != 0.0 else {0.0})
     for t in roots:
-        hit = accept(t)
-        if hit is not None:
-            return hit
+        if t > t_min and 2.0 * A * t + B >= 0.0:
+            hit = p + t * v
+            if near_apex(hit, p):
+                return Termination.APEX
+            if hit[2] > 0.0:
+                return hit
     return Termination.ESCAPED
 
 
@@ -266,23 +248,19 @@ def run(
 ) -> TrajectoryLog:
     """Iterate reflections until escape, apex, grazing incidence, or max_steps."""
     bases, dirs = [line0.base], [line0.dir]
-    line = line0
-    from_surface = started_on_surface
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
-        hit = next_intersection(cone, line, from_surface=from_surface)
+        hit = next_intersection(cone, bases[-1], dirs[-1])
         if isinstance(hit, Termination):
             termination = hit
             break
         try:
-            out = reflect_direction(line.dir, unit(cone.gradient(hit)))
+            out = reflect_direction(dirs[-1], cone.gradient(hit))
         except GrazingError:
             termination = Termination.GRAZING
             break
-        line = OrientedLine(hit, out)
         bases.append(hit)
         dirs.append(out)
-        from_surface = True
     return TrajectoryLog(cone, np.array(bases), np.array(dirs), termination, started_on_surface)
 
 
@@ -293,8 +271,8 @@ def run(
 def _arcsin_argument(cone: EllipticCone, c1: float, c2: float) -> float:
     if c1 <= 0.0 or c2 <= 0.0:
         raise DomainError("the bound requires c1 > 0 and c2 > 0")
-    a, b = cone.a, cone.b
-    arg = 2.0 * a * b * math.sqrt(c1 * c2) / (a**2 * (b**2 + 1.0) * c1 + (b**2 + 1.0) * c2)
+    a, b, r = cone.a, cone.b, c2 / c1  # q depends on c2 / c1 alone
+    arg = 2.0 * a * b * math.sqrt(r) / (a**2 * (b**2 + 1.0) + (b**2 + 1.0) * r)
     # nan or 0 when a term over- or underflows (c1 or c2 infinite or nan
     # included); below the smallest normal float pi / arcsin(arg) overflows
     if not arg >= sys.float_info.min:

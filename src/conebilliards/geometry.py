@@ -62,9 +62,10 @@ def _atan2(y, x):
 def unit(x) -> np.ndarray:
     """Normalize to Euclidean length 1; an (n, d) stack row by row."""
     v = _vec(x, stack=True)
-    n = np.sqrt(_dots(v, v))[..., None]
-    if (n < 1e-300).any():
-        raise DomainError("cannot normalize a (near-)zero vector")
+    with np.errstate(over="ignore"):
+        n = np.sqrt(_dots(v, v))[..., None]
+    if not ((n >= 1e-300) & (n < math.inf)).all():
+        raise DomainError("cannot normalize a (near-)zero or overflowing vector")
     return v / n
 
 
@@ -131,18 +132,19 @@ def projected_distance_sq(line: OrientedLine) -> float:
 
 
 def reflect_direction(v, normal) -> np.ndarray:
-    """Specular reflection v - 2<v,n>n, renormalized.
+    """Specular reflection v - 2<v,n>n of a unit v, renormalized; n is
+    ``normal`` normalized, so any nonzero length will do.
 
     Tangential components are preserved, the normal component flips.
     """
     v = _vec(v)
-    n = _vec(normal)
     check_unit(v)
-    check_unit(n)
+    n = unit(normal)
     vn = float(np.dot(v, n))
     if abs(vn) < GRAZING_TOL:
         raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
-    return unit(v - 2.0 * vn * n)
+    w = v - 2.0 * vn * n
+    return w / np.sqrt(_dots(w, w))
 
 
 def angle_between(u, w):
@@ -315,7 +317,7 @@ class GeneralCone:
     section: object
 
     def normal_at(self, point) -> np.ndarray:
-        """Unit surface normal n ~ e1 x e2 with e1 the ruling through the
+        """Surface normal e1 x e2, not unit, with e1 the ruling through the
         point and e2 the lifted section tangent."""
         x = np.asarray(point, dtype=float)
         xi = math.atan2(x[1], x[0])
@@ -323,7 +325,7 @@ class GeneralCone:
         cx, sx = math.cos(xi), math.sin(xi)
         ax, ay, bx, by = r * cx, r * sx, r1 * cx - r * sx, r1 * sx + r * cx
         # e1 = (ax, ay, 1) x e2 = (bx, by, 0), product for product as np.cross forms it
-        return unit(np.array([ay * 0.0 - by, bx - ax * 0.0, ax * by - ay * bx]))
+        return np.array([ay * 0.0 - by, bx - ax * 0.0, ax * by - ay * bx])
 
 
 def _escapes(cone: GeneralCone, direction: np.ndarray) -> bool:

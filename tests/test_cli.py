@@ -119,6 +119,8 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["elliptic", "bound", "--c1", "1", "--c2", "inf"],
     ["elliptic", "bound", "--semi-a", "inf", "--c1", "1", "--c2", "1"],
     ["elliptic", "simulate", "--semi-a", "1e308", "--count", "2"],
+    # |grad Q|^2 overflows for b below ~1e-154: no inward normal to sample from
+    ["elliptic", "simulate", "--semi-b", "1e-160", "--count", "2"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -299,3 +301,27 @@ def test_ndim_command(tmp_path):
     assert data["passed"] is True
     assert data["checks"]["max_eigenvalue"] < 0.0
     assert data["measured"]["embedded_max_tangential_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("a, b, digest", [
+    ("2", "1", "702efa7dd1c9e6d618ac59ebd05b7f855a4415d592c5ba7c25b9b0890621328f"),
+    ("3", "2", "220e76f8cbeec6913b0e681580d9c0bfa4363584379bd4b67fb24373595b6848"),
+    ("1.5", "1.2", "f117f940abb9c163365a9a7b9675b75e97b2485352a5eb86a73def078c43a4f6"),
+])
+def test_simulate_csv_pinned(tmp_path, a, b, digest):
+    # every byte of a fixed batch on the criterion-3 cones, as first recorded
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--semi-a", a, "--semi-b", b, "--count", "300",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_huge_semi_axis(tmp_path):
+    # I1 ~ a^2 here, so a bound formed from I1 * I2 would overflow
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--semi-a", "1e80", "--count", "20", "--seed", "7",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 20
+    assert all(int(r["bound"]) >= 1 for r in rows if float(r["c2"]) > 0.0)
+    assert any(float(r["c2"]) > 0.0 for r in rows)

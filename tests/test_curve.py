@@ -10,6 +10,7 @@ from conebilliards.errors import (
 from conebilliards import geometry, spiral
 from conebilliards.curve import (
     ArcPatch,
+    _h_derivs,
     bump,
     bump_constant,
     build_curve,
@@ -41,6 +42,18 @@ def test_bump_monotone_and_smooth():
     assert np.all(np.diff(a) <= 1e-15)
     assert np.all((a >= 0.0) & (a <= 1.0))
     assert bump_constant() > 1.0
+
+
+def test_h_derivs_match_one_exp_per_term(rng):
+    # h, h' and h'' as three exp calls, the form bump was first written in
+    z = np.concatenate([rng.uniform(-0.2, 1.2, 20_000), [0.0, 1e-3, 0.5, 1.0]])
+    m = z > 0.0
+    want = [np.zeros_like(z) for _ in range(3)]
+    want[0][m] = np.exp(-1.0 / z[m])
+    want[1][m] = np.exp(-1.0 / z[m]) / z[m] ** 2
+    want[2][m] = np.exp(-1.0 / z[m]) * (1.0 / z[m] ** 4 - 2.0 / z[m] ** 3)
+    for got, expected in zip(_h_derivs(z), want):
+        assert np.array_equal(got, expected)
 
 
 def test_bump_fd_cross_check():
@@ -251,6 +264,25 @@ def test_sign_change_census(built_curve):
     assert sign_change_census(built_curve, lo, hi) == hi - lo + 1
     with pytest.raises(DomainError):
         sign_change_census(built_curve, k1, k1 + 10)
+
+
+def test_sign_change_census_matches_per_k_reference(built_curve):
+    # the census as it was first written: two scalar deviation calls per k
+    def per_k(lo, hi):
+        count = 0
+        for k in range(lo, hi + 1):
+            xik = float(spiral.xi(k))
+            below = built_curve.deviation(xik - float(spiral.delta(k)) / 6.0)[0]
+            above = built_curve.deviation(xik + float(spiral.delta(k - 1)) / 6.0)[0]
+            count += below * above < 0.0
+        return count
+
+    k1, kmax = built_curve.k1, built_curve.kmax
+    # the last range runs past kmax, where rho - 1 is returned as zero
+    for lo, hi in [(k1 + 1, k1 + 1), (k1 + 5, k1 + 4), (k1 + 1, k1 + 700),
+                   (60_000, 60_500), (kmax - 300, kmax + 300)]:
+        assert sign_change_census(built_curve, lo, hi) == per_k(lo, hi)
+    assert sign_change_census(built_curve, kmax - 300, kmax + 300) < 601
 
 
 def test_deviation_sign_alternates_at_vertices(built_curve):

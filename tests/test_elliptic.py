@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from conebilliards import elliptic
+from conebilliards import elliptic, geometry
 from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     OrientedLine,
@@ -101,9 +102,9 @@ def test_log_integrals_equal_integral_pair(cone, rng):
 # ---------------------------------------------------------------------------
 
 def test_next_intersection_semi_axes(cone):
-    hit = next_intersection(cone, OrientedLine([0, 0, 1], [1, 0, 0]))
+    hit = next_intersection(cone, np.array([0.0, 0, 1]), np.array([1.0, 0, 0]))
     assert np.allclose(hit, [2.0, 0.0, 1.0], atol=1e-14)
-    hit = next_intersection(cone, OrientedLine([0, 0, 1], [0, 1, 0]))
+    hit = next_intersection(cone, np.array([0.0, 0, 1]), np.array([0.0, 1, 0]))
     assert np.allclose(hit, [0.0, 1.0, 1.0], atol=1e-14)
 
 
@@ -113,7 +114,7 @@ def test_next_intersection_residual_random(cone, rng):
         if cone.quadric(base) >= -1e-3:
             continue
         line = OrientedLine(base, unit(rng.normal(size=3)))
-        hit = next_intersection(cone, line)
+        hit = next_intersection(cone, line.base, line.dir)
         if hit is Termination.ESCAPED:
             continue
         assert abs(cone.quadric(hit)) < 1e-11 * max(1.0, float(np.dot(hit, hit)))
@@ -121,12 +122,12 @@ def test_next_intersection_residual_random(cone, rng):
 
 
 def test_next_intersection_escape_up_axis(cone):
-    assert next_intersection(cone, OrientedLine([0, 0, 1], [0, 0, 1])) is Termination.ESCAPED
+    assert next_intersection(cone, np.array([0.0, 0, 1]), np.array([0.0, 0, 1])) is Termination.ESCAPED
 
 
 def test_next_intersection_apex_down_axis(cone):
     line = OrientedLine([0, 0, 1], [0, 0, -1])
-    assert next_intersection(cone, line) is Termination.APEX
+    assert next_intersection(cone, line.base, line.dir) is Termination.APEX
     assert run(cone, line).termination is Termination.APEX
 
 
@@ -134,10 +135,87 @@ def test_vieta_no_duplicate_vertex(cone, rng):
     # from a surface point the near-zero root must never be returned
     for _ in range(200):
         line = sample_start(cone, rng)
-        hit = next_intersection(cone, line, from_surface=True)
+        hit = next_intersection(cone, line.base, line.dir)
         if hit is Termination.ESCAPED:
             continue
         assert float(np.linalg.norm(hit - line.base)) > 1e-8
+
+
+def _mp_exit_hit(cone, p, v):
+    """The exit of the ray p + t v from the solid cone by 40-digit roots of
+    A t^2 + B t + C, or None when it escapes.  2 A t + B = +sqrt(disc) at
+    (-B + sqrt(disc)) / 2A, so that root is the one exit."""
+    with mpmath.workdps(40):
+        a2, b2 = mpmath.mpf(cone.a) ** 2, mpmath.mpf(cone.b) ** 2
+        P, V = [mpmath.mpf(float(x)) for x in p], [mpmath.mpf(float(x)) for x in v]
+        A = V[0] ** 2 / a2 + V[1] ** 2 / b2 - V[2] ** 2
+        B = 2 * (P[0] * V[0] / a2 + P[1] * V[1] / b2 - P[2] * V[2])
+        C = P[0] ** 2 / a2 + P[1] ** 2 / b2 - P[2] ** 2
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return None
+        t = (-B + mpmath.sqrt(disc)) / (2 * A)
+        hit = [P[i] + t * V[i] for i in range(3)]
+        if not (t > elliptic.T_MIN_FACTOR * float(np.linalg.norm(p)) and hit[2] > 0):
+            return None
+        return np.array([float(x) for x in hit])
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 2.0), (1.5, 1.2)])
+def test_next_intersection_exit_root_mp_oracle(a, b):
+    # interior starts and surface starts, whose own crossing is an entry
+    cone = EllipticCone(a, b)
+    rng = np.random.default_rng(5)
+    starts = []
+    while len(starts) < 200:
+        base = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.6)])
+        if cone.quadric(base) < 0.0:
+            starts.append((base, unit(rng.normal(size=3))))
+    starts += [(ln.base, ln.dir) for ln in (sample_start(cone, rng) for _ in range(200))]
+    escaped = 0
+    for p, v in starts:
+        hit, ref = next_intersection(cone, p, v), _mp_exit_hit(cone, p, v)
+        if ref is None:
+            assert hit is Termination.ESCAPED
+            escaped += 1
+        else:
+            assert not isinstance(hit, Termination)
+            assert np.abs(hit - ref).max() < 1e-12 * max(1.0, float(np.abs(ref).max()))
+    assert 0 < escaped < len(starts)
+    # surface starts 1e-7..1e-4 rad off the tangent plane: from a base just
+    # outside, the entry root C/q lies above t_min.  Float coefficients fix
+    # so short a chord to ~1e-3 of its length; the entry is off by all of it.
+    for _ in range(200):
+        p = cone.surface_point(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 2.0))
+        n_in = cone.inward_normal(p)
+        v = unit(unit(np.cross(n_in, rng.normal(size=3))) + 10.0 ** rng.uniform(-7, -4) * n_in)
+        hit, ref = next_intersection(cone, p, v), _mp_exit_hit(cone, p, v)
+        if ref is None:
+            assert hit is Termination.ESCAPED
+        else:
+            assert not isinstance(hit, Termination)
+            assert np.abs(hit - ref).max() < 1e-2 * np.abs(ref - p).max()
+
+
+def test_run_validates_at_most_twice_per_reflection(cone, monkeypatch):
+    # validation stays out of the inner loop: reflect_direction checks v and
+    # normalizes the normal, and nothing else revalidates a vector
+    rng = np.random.default_rng(11)
+    starts = [sample_start(cone, rng) for _ in range(300)]
+    real = geometry._vec
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_vec", counting)
+    attempts = 0
+    for line0 in starts:
+        log = run(cone, line0, max_steps=elliptic.FALLBACK_STEPS, started_on_surface=True)
+        attempts += len(log.vertices) + (log.termination is Termination.GRAZING)
+    assert attempts > len(starts)
+    assert len(calls) <= 2 * attempts
 
 
 def test_run_planar_stays_planar(cone):
@@ -207,6 +285,12 @@ def test_reflection_bound_stated_value(cone):
 def test_reflection_bound_blows_up_as_c2_vanishes(cone):
     assert reflection_bound(cone, 1.0, 1e-8) > 10_000
     assert min_vertex_angle(cone, 1.0, 1e-12) < 1e-5
+
+
+def test_reflection_bound_scale_free(cone):
+    # q depends on c2 / c1 alone; c1 * c2 would overflow here
+    assert min_vertex_angle(cone, 1e200, 1e200) == min_vertex_angle(cone, 1.0, 1.0)
+    assert reflection_bound(cone, 1e300, 3e299) == reflection_bound(cone, 1.0, 0.3)
 
 
 def test_reflection_bound_domain(cone):

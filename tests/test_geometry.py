@@ -148,6 +148,21 @@ def test_reflect_grazing_raises():
         reflect_direction(v, [0.0, 0.0, 1.0])
 
 
+def test_reflect_normalizes_its_normal(rng):
+    # any nonzero length of the normal gives the same reflection, and the
+    # grazing test reads the normalized one
+    with pytest.raises(GrazingError):
+        reflect_direction(unit([1.0, 0.0, 1e-14]), [0.0, 0.0, 5.0])
+    for _ in range(100):
+        n = unit(rng.normal(size=3))
+        v = unit(rng.normal(size=3))
+        if abs(np.dot(v, n)) < 1e-6:
+            continue
+        out = reflect_direction(v, rng.uniform(1e-3, 1e3) * n)
+        assert np.allclose(out, reflect_direction(v, n), rtol=0.0, atol=1e-15)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-15
+
+
 def test_non_unit_direction_rejected():
     with pytest.raises(DomainError):
         OrientedLine([0.0, 0.0, 1.0], [1.0, 0.0, 1e-4])
@@ -279,6 +294,15 @@ def test_unit_and_angle_between_take_stacks(rng):
         unit(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(DomainError):
         unit(np.ones((2, 2, 3)))
+
+
+def test_unit_rejects_overflowing_squared_norm():
+    # finite coordinates whose squared norm overflows would normalize to 0
+    with pytest.raises(DomainError):
+        unit([1e200, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        unit(np.array([[1.0, 0.0, 0.0], [0.0, 1e160, 1e160]]))
+    assert np.array_equal(unit([1e150, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
