@@ -15,7 +15,6 @@ from .geometry import (
     CircularSection,
     GeneralCone,
     OrientedLine,
-    PreciseLine,
     alpha_theta_residuals,
     angle_between,
     angular_momenta,

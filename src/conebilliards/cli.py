@@ -152,6 +152,8 @@ def cmd_elliptic_bound(args) -> int:
 def cmd_spiral_verify(args) -> int:
     # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
     _check_size("--kmax", args.kmax, 9, MAX_KMAX)
+    if not 0.0 < args.tol < math.inf:  # a nan or inf threshold passes every distance
+        raise _fail(f"need 0 < --tol < inf, got {args.tol}")
     params = SpiralParams(a=args.a)
     t0 = time.monotonic()
     kmax = args.kmax

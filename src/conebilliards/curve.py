@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
-from .geometry import GeneralCone, PreciseLine, _dots, cone_step_precise, momentum_pairs
+from .geometry import GeneralCone, _dots, angular_momenta, cone_step_precise
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
 
@@ -266,7 +266,7 @@ class PolarCurve:
         n = np.array([-ty, tx])
         return n / np.linalg.norm(n)
 
-    def window_samples(self, k, count: int = 64) -> np.ndarray:
+    def window_samples(self, k, count: int) -> np.ndarray:
         """``count`` equispaced points of the window [xi_{k+1}, xi_k]; for an
         int array k, one row per window, each equal to its one-window call."""
         return np.linspace(spiral.xi(np.asarray(k) + 1), spiral.xi(k), count, axis=-1)
@@ -342,13 +342,14 @@ class C2Report:
 
 C2_K_LO = 100         # the decay fit runs over 60 geometric windows
 C2_K_HI = 100_000     # from C2_K_LO to min(kmax - 2, C2_K_HI)
+C2_SLOPE_TOL = 0.15   # half-width of the band each fitted slope must meet
 
 
-def c2_check_at_zero(curve: PolarCurve, slope_tol: float = 0.15, strict: bool = True) -> C2Report:
+def c2_check_at_zero(curve: PolarCurve, strict: bool = True) -> C2Report:
     """Fit the decay exponents of the window sups of |rho-1|, |rho'|, |rho''|.
 
     The expected envelopes are k^-4, k^-5/2 and k^-1; failing the
-    +-slope_tol band raises C2CheckFailure (report attached).
+    +-C2_SLOPE_TOL band raises C2CheckFailure (report attached).
     """
     k_lo = C2_K_LO
     k_hi = min(curve.kmax - 2, C2_K_HI)
@@ -359,9 +360,9 @@ def c2_check_at_zero(curve: PolarCurve, slope_tol: float = 0.15, strict: bool = 
     lk = np.log(ks.astype(float))
     slopes = tuple(float(np.polyfit(lk, np.log(s), 1)[0]) for s in (sup0, sup1, sup2))
     report = C2Report(k_values=ks, sup_dev=sup0, sup_d1=sup1, sup_d2=sup2, slopes=slopes)
-    if strict and report.max_slope_error() > slope_tol:
+    if strict and report.max_slope_error() > C2_SLOPE_TOL:
         raise C2CheckFailure(
-            f"decay slopes {slopes} deviate more than {slope_tol} from {report.expected}",
+            f"decay slopes {slopes} deviate more than {C2_SLOPE_TOL} from {report.expected}",
             report=report,
         )
     return report
@@ -425,26 +426,28 @@ def replay(
         raise DomainError(f"replay range k = {k_start}..{k_start + steps - 1} "
                           f"runs past the curve's kmax = {curve.kmax}")
     cone = GeneralCone(curve)
-    states = [PreciseLine.from_line(traj.line(k_start))]
+    line = traj.line(k_start)
+    bases, tail, dirs = [line.base], np.zeros(3), [line.dir]
     termination = None
     for _ in range(steps):
-        stepped = cone_step_precise(cone, states[-1])
+        stepped = cone_step_precise(cone, bases[-1], tail, dirs[-1])
         if isinstance(stepped, Termination):
             termination = stepped
             break
-        states.append(stepped)
-    bases = np.array([s.base for s in states])
+        hit, tail, out = stepped
+        bases.append(hit)
+        dirs.append(out)
+    bases, dirs = np.array(bases), np.array(dirs)
     chords = np.diff(bases, axis=0)
     # cumsum adds left to right, where np.sum adds pairwise
     length = float(np.cumsum(np.append(0.0, np.sqrt(_dots(chords, chords))))[-1])
-    x, v = bases[1:], np.array([s.dir for s in states])[1:]
-    expected = traj.vertex(np.arange(k_start + 1, k_start + len(states)))
+    x = bases[1:]
+    expected = traj.vertex(np.arange(k_start + 1, k_start + len(bases)))
     miss = x - expected
     rel = np.sqrt(_dots(miss, miss)) / np.sqrt(_dots(expected, expected))
     bad = np.flatnonzero(rel > VERTEX_TOL)
     first_bad = k_start + 1 + int(bad[0]) if bad.size else None
-    # the angular momenta m_01, m_02, m_12 of each outgoing line
-    m = np.stack([x[:, i] * v[:, j] - x[:, j] * v[:, i] for i, j in momentum_pairs(3)], axis=-1)
+    m = angular_momenta(x, dirs[1:])
     max_rel = float(rel.max(initial=0.0))
     max_dist = float(np.abs(_dots(m, m) - 2.0).max(initial=0.0))
     closed = float(traj.partial_length(k_start, k_start + steps - 1))

@@ -47,8 +47,10 @@ class EllipticCone:
     b: float
 
     def __post_init__(self):
-        if not (self.a > self.b > 0.0 and self.a * self.a < math.inf and self.b * self.b > 0.0):
-            raise DomainError(f"need a > b > 0 with a^2 finite and b^2 > 0, "
+        # the ray's B reaches 4/b from a start at height 2: keep 16/b^2 finite
+        if not (self.a > self.b > 0.0 and self.a * self.a < math.inf
+                and self.b * self.b > 16.0 / sys.float_info.max):
+            raise DomainError(f"need a > b > 0 with a^2 and 16/b^2 finite, "
                               f"got a={self.a}, b={self.b}")
 
     def quadric(self, x) -> float:
@@ -311,7 +313,7 @@ def m12_sq_max(cone: EllipticCone, I1: float, I2: float) -> float:
 
 def angle_to_integral_residual(cone: EllipticCone, line: OrientedLine, hit: np.ndarray) -> float:
     """cos(xi2 - xi1) - (2 m12^2/(m12^2 + I2) - 1) for the chord base->hit."""
-    m12 = angular_momenta(line)[0]
+    m12 = angular_momenta(line.base, line.dir)[0]
     I2 = integral_pair(cone, line).I2
     xi1 = cone.section_angle(line.base)
     xi2 = cone.section_angle(hit)

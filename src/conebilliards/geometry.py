@@ -90,10 +90,6 @@ class OrientedLine:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dir", d)
 
-    @property
-    def n(self) -> int:
-        return self.base.size
-
     def point_at(self, t: float) -> np.ndarray:
         return self.base + t * self.dir
 
@@ -103,25 +99,23 @@ def momentum_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def angular_momenta(line: OrientedLine) -> np.ndarray:
-    """All m_ij = x^i v^j - x^j v^i, i < j, lexicographic.
+def angular_momenta(x, v) -> np.ndarray:
+    """All m_ij = x^i v^j - x^j v^i, i < j, lexicographic, of the line
+    through x along v; (..., n) stacks of them give (..., n(n-1)/2).
 
     Independent of where the base point sits on the line.
     """
-    x, v = line.base, line.dir
-    n = x.size
-    out = np.empty(n * (n - 1) // 2)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[k] = x[i] * v[j] - x[j] * v[i]
-            k += 1
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (n * (n - 1) // 2,))
+    for k, (i, j) in enumerate(momentum_pairs(n)):
+        out[..., k] = x[..., i] * v[..., j] - x[..., j] * v[..., i]
     return out
 
 
 def line_distance_sq(line: OrientedLine) -> float:
     """Squared distance of the line to the origin as sum of m_ij^2."""
-    m = angular_momenta(line)
+    m = angular_momenta(line.base, line.dir)
     return float(np.dot(m, m))
 
 
@@ -234,8 +228,7 @@ def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
     radial = unit(p)
     alphas = angle_between(v, radial)
     res_alpha = alphas[1:] - (alphas[:-1] - angle_between(radial[:-1], radial[1:]))
-    # |p x v|^2 is the sum of the squared m_ij, the squared line distance
-    m = np.cross(p, v)
+    m = angular_momenta(p, v)
     res_radius = np.sqrt(_dots(p, p)) * np.sin(alphas) - np.sqrt(_dots(m, m))
     return AlphaThetaReport(alpha=res_alpha, radius=res_radius)
 
@@ -478,46 +471,31 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     return _scan_root(gap, t_min, scale)
 
 
-@dataclass(frozen=True)
-class PreciseLine:
-    """Ray state whose base carries a double-double tail.
+def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
+                      v: np.ndarray) -> Union[tuple, Termination]:
+    """Advance one reflection of the ray from the base p + p_tail along v:
+    the first surface hit as the compensated pair (hit, hit_tail) and the
+    direction ``out`` reflected off the surface normal there; or ESCAPED,
+    APEX, GRAZING or NO_BRACKET.
 
     Grazing reflections amplify any off-surface error of the base by
     1/<v,n> (10^3..10^5 on the accumulating trajectory), so long replays
-    keep the base compensated; directions stay plain float64, their
-    errors are not grazing-amplified.  A plain line is one with a zero tail.
+    carry the base's double-double tail p_tail (zeros for a plain line);
+    directions stay plain float64, their errors are not grazing-amplified.
     """
-
-    base: np.ndarray
-    base_tail: np.ndarray
-    dir: np.ndarray
-
-    @classmethod
-    def from_line(cls, line: OrientedLine) -> "PreciseLine":
-        return cls(line.base, np.zeros(3), line.dir)
-
-    def as_line(self) -> OrientedLine:
-        return OrientedLine(self.base, self.dir)
-
-
-def cone_step_precise(cone: GeneralCone, state: PreciseLine) -> Union[PreciseLine, Termination]:
-    """Advance one reflection: first surface hit of the forward ray, with a
-    compensated hit point, reflected off the surface normal; or ESCAPED,
-    APEX, GRAZING or NO_BRACKET."""
-    p, v = state.base, state.dir
     if p.size != 3:
         raise DomainError("general-cone stepping is implemented in R^3")
-    t_hit = _intersect_ray(cone, p, state.base_tail, v)
+    t_hit = _intersect_ray(cone, p, p_tail, v)
     if isinstance(t_hit, Termination):
         return t_hit
     hit = np.empty(3)
     tail = np.empty(3)
     for i in range(3):
-        hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(state.base_tail[i]), t_hit, float(v[i]))
+        hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(p_tail[i]), t_hit, float(v[i]))
     if near_apex(hit, p):
         return Termination.APEX
     try:
         out = reflect_direction(v, cone.normal_at(hit))
     except GrazingError:
         return Termination.GRAZING
-    return PreciseLine(hit, tail, out)
+    return hit, tail, out

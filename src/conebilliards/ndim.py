@@ -225,9 +225,6 @@ def negdef_check(
 
 @dataclass
 class EmbedReport:
-    n: int
-    start_k: int
-    count: int
     max_tangential_residual: float
     max_perpendicular_residual: float
 
@@ -272,7 +269,6 @@ def embedded_reflection_check(
         for j in range(2, n - 1):
             max_perp = max(max_perp, abs(float(ve[j])))
     return EmbedReport(
-        n=n, start_k=k_start, count=count,
         max_tangential_residual=max_tan,
         max_perpendicular_residual=max_perp,
     )

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OrientedLine, _dots, angle_between, unit
+from .geometry import OrientedLine, _dots, angle_between, angular_momenta, unit
 
 SQRT2 = math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
@@ -262,9 +262,6 @@ class SpiralTrajectory:
         self.k0 = k0(a)
 
     # -- scalar building blocks ------------------------------------------------
-    def tail(self, k):
-        return self.table.tail(k)
-
     def tilt(self, k):
         """A_k = a - S_k; t_k = 1/cos(A_k), alpha_k = pi/2 - A_k."""
         return self.a - self.table.tail(k)
@@ -356,10 +353,8 @@ class SpiralTrajectory:
         return np.arctan2(np.cos(A), np.sin(A))
 
     def verify_distance(self, k):
-        """dist(l_k, O) - sqrt(2) via the angular momenta m_ij of l_k, the
-        components of p_k x dir_k."""
-        # reversed to (m_01, -m_02, m_12): the order line_distance_sq sums in
-        m = np.cross(self.vertex(k), self.direction(k))[..., ::-1]
+        """dist(l_k, O) - sqrt(2) via the angular momenta m_ij of l_k."""
+        m = angular_momenta(self.vertex(k), self.direction(k))
         return np.sqrt(_dots(m, m)) - SQRT2
 
     def verify_equal_angles(self, k):

@@ -121,6 +121,13 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["elliptic", "simulate", "--semi-a", "1e308", "--count", "2"],
     # |grad Q|^2 overflows for b below ~1e-154: no inward normal to sample from
     ["elliptic", "simulate", "--semi-b", "1e-160", "--count", "2"],
+    # B^2 = 16/b^2 of a height-2 start overflows below b ~ 2.98e-154
+    ["elliptic", "simulate", "--semi-b", "1e-154", "--count", "2"],
+    # --tol must lie in (0, inf): a nan or inf threshold passed every distance
+    ["spiral", "verify", "--kmax", "5000", "--tol", "nan"],
+    ["spiral", "verify", "--kmax", "5000", "--tol", "inf"],
+    ["spiral", "verify", "--kmax", "5000", "--tol", "0"],
+    ["spiral", "verify", "--kmax", "5000", "--tol", "-1"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -314,6 +321,15 @@ def test_simulate_csv_pinned(tmp_path, a, b, digest):
     assert main(["elliptic", "simulate", "--semi-a", a, "--semi-b", b, "--count", "300",
                  "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_smallest_semi_axis(tmp_path):
+    # just above the 16/b^2 overflow: every step stays finite, and a stray
+    # RuntimeWarning fails the test
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--semi-b", "3e-154", "--count", "200", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 201
 
 
 def test_simulate_huge_semi_axis(tmp_path):

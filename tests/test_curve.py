@@ -19,7 +19,7 @@ from conebilliards.curve import (
     replay,
     sign_change_census,
 )
-from conebilliards.geometry import GeneralCone, PreciseLine, cone_step_precise
+from conebilliards.geometry import GeneralCone, cone_step_precise
 from conebilliards.spiral import SpiralParams, SpiralTrajectory, normal_w
 
 
@@ -251,10 +251,11 @@ def test_c2_sups_equal_per_window_calls(built_curve):
             np.abs(d).max(), np.abs(d1).max(), np.abs(d2).max())
 
 
-def test_c2_strict_failure_path(built_curve):
+def test_c2_strict_failure_path(built_curve, monkeypatch):
+    monkeypatch.setattr("conebilliards.curve.C2_SLOPE_TOL", 1e-6)
     with pytest.raises(C2CheckFailure):
-        c2_check_at_zero(built_curve, slope_tol=1e-6)
-    rep = c2_check_at_zero(built_curve, slope_tol=1e-6, strict=False)
+        c2_check_at_zero(built_curve)
+    rep = c2_check_at_zero(built_curve, strict=False)
     assert rep.max_slope_error() > 1e-6
 
 
@@ -364,11 +365,12 @@ def test_replay_states_pinned(built_curve):
     # sha256 over base, base_tail and dir of the first 200 criterion-8 steps,
     # taken from the scan-plus-bisection stepper before the predicted root
     cone = GeneralCone(built_curve)
-    state = PreciseLine.from_line(SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1))
+    line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1)
+    state = (line.base, np.zeros(3), line.dir)
     digest = hashlib.sha256()
     for _ in range(200):
-        state = cone_step_precise(cone, state)
-        for part in (state.base, state.base_tail, state.dir):
+        state = cone_step_precise(cone, *state)
+        for part in state:
             digest.update(part.tobytes())
     assert digest.hexdigest() == "38126dc0e06da31147f772d34de395e283b4e10a9ee49aa7e84e763fa4234922"
 

@@ -68,6 +68,15 @@ def test_cone_validation():
         EllipticCone(2.0, 0.0)
 
 
+def test_cone_rejects_semi_axis_too_small_for_the_quadric():
+    # a start at height 2 makes the ray's B^2 as large as 16/b^2, which
+    # overflows below b ~ 2.98e-154
+    for b in (1e-154, 5e-155, 1e-160):
+        with pytest.raises(DomainError, match=f"a=2.0, b={b}"):
+            EllipticCone(2.0, b)
+    assert EllipticCone(2.0, 3e-154).b == 3e-154
+
+
 def test_I2_direct_substitution(cone):
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     assert integral_pair(cone, line).I2 == pytest.approx(3.0, abs=1e-15)
@@ -223,7 +232,7 @@ def test_run_planar_stays_planar(cone):
     log = run(cone, line, max_steps=50)
     assert len(log.vertices) >= 1
     for ln in _lines(log):
-        m12, _, m23 = angular_momenta(ln)
+        m12, _, m23 = angular_momenta(ln.base, ln.dir)
         assert m12 == 0.0 and m23 == 0.0
 
 
@@ -328,7 +337,7 @@ def test_chord_angle_closed_form(cone, rng):
     pair = _launch_pair(cone, log)
     pts = log.bases  # run_random starts on the surface
     for ln, p1, p2 in zip(_lines(log), pts[:-1], pts[1:]):
-        m12 = angular_momenta(ln)[0]
+        m12 = angular_momenta(ln.base, ln.dir)[0]
         s2 = chord_angle_sin_sq(cone, pair.I1, pair.I2, m12)
         u1, u2 = unit(p1), unit(p2)
         sin_th = float(np.linalg.norm(np.cross(u1, u2)))

@@ -350,9 +350,9 @@ def test_total_length_closed_form():
         partial = float(traj.partial_length(traj.k0, 199_000))
         assert total > partial > 0.0
         # remaining tail ~ sqrt(2) sec^2(a) S_{K+1}
-        tail_bound = 4.0 * float(traj.tail(199_001)) / math.cos(a) ** 2
+        tail_bound = 4.0 * float(traj.table.tail(199_001)) / math.cos(a) ** 2
         assert total - partial < tail_bound
-        s = float(traj.tail(traj.k0))
+        s = float(traj.table.tail(traj.k0))
         explicit = SQRT2 * math.sin(s) / (math.cos(a - s) * math.cos(a))
         assert total == pytest.approx(explicit, rel=1e-15)
 
