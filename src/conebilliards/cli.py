@@ -38,6 +38,7 @@ class RunReport:
     passed: bool
     checks: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # seconds per phase
     wall_time_s: float = 0.0
     schema_version: int = SCHEMA_VERSION
 
@@ -405,14 +406,17 @@ def cmd_ndim_check(args) -> int:
     _check_size("--steps", args.steps, 1, MAX_STEPS)
     t0 = time.monotonic()
     curve = _build_curve_from_args(args)
+    t_build = time.monotonic()
     section = ndim.LiftedSection(curve, n=args.n)
     try:
         rep = ndim.negdef_check(section, grid_target=args.grid, strict=True)
     except ConvexityFailure as exc:
         print(f"convexity failed: {exc}", file=sys.stderr)
         return 1
+    t_negdef = time.monotonic()
     traj = SpiralTrajectory(args.a, kmax=max(curve.kmax, 10_000))
     emb = ndim.embedded_reflection_check(section, traj, count=args.steps)
+    t_embed = time.monotonic()
     passed = emb.max_tangential_residual < 1e-10 and emb.max_perpendicular_residual == 0.0
     report = RunReport(
         command="ndim check",
@@ -423,6 +427,7 @@ def cmd_ndim_check(args) -> int:
             "embedded_max_tangential_residual": emb.max_tangential_residual,
             "embedded_max_perpendicular_residual": emb.max_perpendicular_residual,
         },
+        timings={"build": t_build - t0, "negdef": t_negdef - t_build, "embed": t_embed - t_negdef},
         wall_time_s=time.monotonic() - t0,
     )
     report.dump(args.report)

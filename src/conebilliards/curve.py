@@ -191,6 +191,7 @@ class PolarCurve:
     rho == 1 outside (0, xi_{k1}]; inside, consecutive arcs are blended on
     each window [xi_{k+1}, xi_k].  Beyond the stored horizon kmax the
     deviation (< 1e-19 for kmax >= 1e5) is returned as exactly zero.
+    Windows k < k1 are flat (rho - 1 is exactly +0.0): no xi > _xi_live is evaluated.
     """
 
     def __init__(self, sigmas: np.ndarray, k1: int, kmax: int):
@@ -200,6 +201,7 @@ class PolarCurve:
         if sig.size != self.kmax + 2:
             raise DomainError("sigma table must cover k = 0..kmax+1")
         sig[: self.k1 + 1] = 0.0  # flat start: rho_k == 1 for k <= k1
+        self._xi_live = min(1.0, 1.0 / math.sqrt(max(self.k1, 1) - 0.5))
         self._sig = sig
         self._sig.setflags(write=False)
 
@@ -212,7 +214,7 @@ class PolarCurve:
         """
         if isinstance(xi_val, float) or np.ndim(xi_val) == 0:
             x = float(xi_val)
-            if not 0.0 < x <= 1.0:
+            if not 0.0 < x <= self._xi_live:
                 return 0.0, 0.0, 0.0
             xx = x * x
             if xx == 0.0 or 1.0 / xx > self.kmax:  # beyond horizon: |rho-1| < 1e-19
@@ -223,7 +225,7 @@ class PolarCurve:
         d = np.zeros_like(x)
         d1 = np.zeros_like(x)
         d2 = np.zeros_like(x)
-        m = (x > 0.0) & (x <= 1.0)
+        m = (x > 0.0) & (x <= self._xi_live)
         if m.any():
             xm = x[m]
             # x * x underflows to 0 for x below ~1e-162: deep either way

@@ -47,7 +47,8 @@ def _vec(x, stack: bool = False) -> np.ndarray:
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> along the last axis.  matmul's vector-by-vector loop is
-    np.dot's, so each entry equals np.dot of the two rows bit for bit."""
+    np.dot's, so for C-contiguous rows each entry equals np.dot of the two
+    rows bit for bit; a strided view (m[:, ::-1]) may differ in the last bit."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 

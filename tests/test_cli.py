@@ -308,6 +308,10 @@ def test_ndim_command(tmp_path):
     assert data["passed"] is True
     assert data["checks"]["max_eigenvalue"] < 0.0
     assert data["measured"]["embedded_max_tangential_residual"] < 1e-10
+    timings = data["timings"]
+    assert sorted(timings) == ["build", "embed", "negdef"]
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) <= data["wall_time_s"]
 
 
 @pytest.mark.parametrize("a, b, digest", [

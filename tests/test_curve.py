@@ -10,7 +10,9 @@ from conebilliards.errors import (
 from conebilliards import geometry, spiral
 from conebilliards.curve import (
     ArcPatch,
+    PolarCurve,
     _h_derivs,
+    _window_dev,
     bump,
     bump_constant,
     build_curve,
@@ -322,6 +324,69 @@ def test_scalar_deviation_matches_array_path(built_curve):
         assert all(type(v) is float for v in vals)
         got[i] = vals
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _deviation_everywhere(curve, x):
+    """Reference: the array deviation with _window_dev run on every xi in
+    (0, 1], flat windows below k1 included."""
+    out = [np.zeros_like(x) for _ in range(3)]
+    m = (x > 0.0) & (x <= 1.0)
+    xm = x[m]
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / (xm * xm)
+    deep = inv > curve.kmax
+    k = np.where(deep, float(curve.kmax), np.floor(inv)).astype(np.int64)
+    vals = _window_dev(xm, k.astype(float), curve._sig[k], curve._sig[k + 1], np)
+    for o, v in zip(out, vals):
+        o[m] = np.where(deep, 0.0, v)
+    return out
+
+
+def _scalar_everywhere(curve, x):
+    """Reference for one float: _window_dev on every xi in (0, 1]."""
+    if not 0.0 < x <= 1.0 or x * x == 0.0 or 1.0 / (x * x) > curve.kmax:
+        return 0.0, 0.0, 0.0
+    k = int(1.0 / (x * x))
+    return _window_dev(x, float(k), curve._sig.item(k), curve._sig.item(k + 1), math)
+
+
+def _bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("k1", [0, 1, 9, 66])
+def test_deviation_skips_only_flat_windows(k1):
+    # evaluating xi above _xi_live (windows k < k1) only ever gave +0.0, so
+    # skipping them leaves every bit, sign bits included
+    kmax = 20_000
+    sig = np.zeros(kmax + 2)
+    sig[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
+    curve = PolarCurve(sig, k1=k1, kmax=kmax)
+    rng = np.random.default_rng(k1)
+    inv = 1.0 / np.sqrt(np.arange(1.0, 300.0))
+    edges = np.array([spiral.xi(max(k1, 1)), spiral.xi(kmax), curve._xi_live, 1.0])
+    pts = np.concatenate([
+        rng.uniform(-0.2, 1.2, 20_000), rng.uniform(0.0, 1.0, 5000) ** 4,
+        inv, np.nextafter(inv, 0.0), np.nextafter(inv, 2.0),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        [0.0, -0.0, np.nextafter(1.0, 2.0), 1e-170, -1e-170, math.nan],
+    ])
+    want = _deviation_everywhere(curve, pts)
+    got = curve.deviation(pts)
+    assert all(_bits_equal(g, w) for g, w in zip(got, want))
+    assert all(_bits_equal(g, w) for g, w in zip(curve.polar(pts), (1.0 + want[0], want[1], want[2])))
+    r, r1, r2 = 1.0 + want[0], want[1], want[2]
+    kappa = np.abs(r * r + 2.0 * r1 * r1 - r * r2) / np.power(r * r + r1 * r1, 1.5)
+    assert _bits_equal(curve.curvature(pts), kappa)
+    for x in pts[20_000:].tolist():
+        assert _bits_equal(curve.deviation(x), _scalar_everywhere(curve, x))
+
+
+def test_default_curve_k1_and_sigma_table_pinned(built_curve):
+    assert built_curve.k1 == 66
+    assert hashlib.sha256(built_curve._sig.tobytes()).hexdigest() == (
+        "6e686b8e91f65eb465435b24f51f90b7fb5f9667fde84c0ddd46527a45aa86d3")
 
 
 # ---------------------------------------------------------------------------

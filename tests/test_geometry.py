@@ -36,6 +36,16 @@ SQRT2 = math.sqrt(2.0)
 # angular momenta and the distance integral
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_dots_equals_np_dot_on_contiguous_rows(rng, n):
+    a = rng.normal(size=(5000, n))
+    b = rng.normal(size=(5000, n))
+    want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(geometry._dots(a, b), want)
+    assert np.array_equal(geometry._dots(a.reshape(50, 100, n), b.reshape(50, 100, n)),
+                          want.reshape(50, 100))
+
+
 def test_momenta_direct_substitution():
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     m12, m13, m23 = angular_momenta(line.base, line.dir)

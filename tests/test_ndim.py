@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -5,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conebilliards import curve as curve_module
 from conebilliards.errors import DomainError
 from conebilliards.ndim import (
     LiftedSection,
@@ -140,6 +142,55 @@ def test_negdef_report(section4):
     assert d["window_f1_range"] == list(rep.window_f1_range)
 
 
+# every NegdefReport field as reported before the distinct-x2 inversion and
+# the flat-window skip: sha256 of the sorted-key JSON
+NEGDEF_PINS = {
+    (3, 300): "149d58e6041749f601fda23e5e7ca227c9afb90a3b7544bc492912f4180cf289",
+    (3, 5000): "45706e6884ec2bab7edcc16a4b4e576a404486585e52373534ace1f01d96e3ef",
+    (3, 10_000): "b3acf62213a8f5ab3fc23213b77405d888d0a34ddee6976fbaa540e617a43968",
+    (4, 300): "29b018d7fa1783df14597e80b85ae58ba1662e4cb8ccaf9f5e996144034aa983",
+    (4, 5000): "c128983d2e52fa34bd90f6522feefc140e161390b96d07b1f87ccb60adc6fd14",
+    (4, 10_000): "7cacaf4a379c19b8ee5b3635e5d271d16accd03e8ce46c40bbf82c1ae075667e",
+    (5, 300): "86a931285f3dd113338d0a1fa60e463975285d6130bec5c24584325871be55fc",
+    (5, 5000): "3998234b74ad6c6c4a099e1a2ca91470fda0d5a2aae559e07504f210e15737bd",
+    (5, 10_000): "3797994e705772d9cda78926cc88573ffbdb7eaea8e609229965e3d2e08a8cce",
+    (6, 300): "766213abc8b358de5f13b670a597e279a43cc4b80cbda0996e3c696d13a8ac29",
+    (6, 5000): "e3406eb7583eaf6cbfbaba5a7f973444910d30c4a32d332885e7f42f9f27d26f",
+    (6, 10_000): "241e5d16056087def392b35c5427d8ec0b58fb200b7c81990a92814a3070d036",
+}
+
+
+@pytest.mark.parametrize("n, grid", sorted(NEGDEF_PINS))
+def test_negdef_report_pinned(built_curve, n, grid):
+    rep = negdef_check(LiftedSection(built_curve, n=n), grid_target=grid, strict=False)
+    text = json.dumps(asdict(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == NEGDEF_PINS[n, grid], text
+
+
+def test_negdef_evaluates_few_windows(section4, monkeypatch):
+    # the grid shares each x2 along a lattice row, and the bisection's
+    # midpoints mostly land on flat windows: 287 628 points reached
+    # _window_dev before the inversion ran once per distinct x2
+    real = curve_module._window_dev
+    points = []
+
+    def counting(x, *rest):
+        points.append(np.size(x))
+        return real(x, *rest)
+
+    monkeypatch.setattr(curve_module, "_window_dev", counting)
+    negdef_check(section4, grid_target=5000, strict=True)
+    assert 0 < sum(points) < 30_000
+
+
+def test_f1_repeated_x2_equals_one_call_per_value(section4, rng):
+    values = np.concatenate([rng.uniform(-0.99, 0.99, 40), [0.0, -0.0, 0.1, 0.3, 1.0 / 3.0]])
+    x2 = rng.choice(values, 600)
+    got = np.stack(section4.f1(x2), axis=-1)
+    want = np.array([section4.f1(v) for v in x2.tolist()])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_negdef_window_bounds(section4):
     rep = negdef_check(section4, grid_target=500, strict=True)
     lo, hi = rep.window_f1p_range
@@ -164,6 +215,8 @@ def test_scalar_margin_explicit_constant(section4):
 def test_embed3_slots():
     v = embed3(np.array([1.0, 2.0, 3.0]), 6)
     assert np.array_equal(v, [1.0, 2.0, 0.0, 0.0, 0.0, 3.0])
+    stack = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(embed3(stack, 5), [embed3(row, 5) for row in stack])
 
 
 def test_embedded_reflections_n4(section4, spiral_a0):
