@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, curve as curve_mod, elliptic, ndim, spiral, svgplot
 from .errors import ConstructionError, ConvexityFailure, DomainError, ReplayFailure, Termination
+from .geometry import angle_between, unit
 from .spiral import SpiralParams, SpiralTrajectory
 
 SCHEMA_VERSION = 1
@@ -73,64 +74,99 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 # elliptic
 # ---------------------------------------------------------------------------
 
-def _one_trajectory(cone, seed: int, index: int) -> tuple:
-    """The CSV row of trajectory ``index`` and how it ended."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-    log = elliptic.run_random(cone, rng)
-    integrals = log.integrals()
-    c1, c2 = integrals.I1[0], integrals.I2[0]
-    th = log.thetas()
-    d1, d2 = log.integral_drift()
-    bound = elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1
-    return {
-        "index": index,
-        "seed": seed,
-        "c1": c1,
-        "c2": c2,
-        "reflections": log.reflection_count,
-        "bound": bound,
-        "max_theta": float(th.max()) if th.size else 0.0,
-        "sum_theta": float(th.sum()),
-        "drift_i1": d1,
-        "drift_i2": d2,
-    }, log.termination
+SIMULATE_BLOCK = 1024  # trajectories whose logs one accounting pass reads; bounds the memory
+SIMULATE_COLUMNS = ("index", "seed", "c1", "c2", "reflections", "bound",
+                    "max_theta", "sum_theta", "drift_i1", "drift_i2")
+SIMULATE_CSV_ROW = "%d,%d,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+
+
+def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
+    """The CSV rows of trajectories first, first + 1, ... from their
+    run_random logs, which start on the surface.
+
+    One pass over the stacked rows gives what TrajectoryLog.integrals,
+    thetas and integral_drift give log by log, bit for bit: the integrals
+    and apex angles are elementwise, max and min are exact in any order,
+    and each theta sum is numpy's pairwise .sum() of its own slice
+    (np.add.reduceat sums sequentially and rounds differently).
+    """
+    sizes = np.array([len(log.bases) for log in logs])
+    starts = np.cumsum(sizes) - sizes
+    bases = np.concatenate([log.bases for log in logs])
+    I1, I2 = elliptic.first_integrals(cone, bases, np.concatenate([log.dirs for log in logs]))
+    keep = np.ones(len(bases) - 1, dtype=bool)
+    keep[starts[1:] - 1] = False  # the pairs of rows that straddle two trajectories
+    radial = unit(bases)
+    th = angle_between(radial[:-1][keep], radial[1:][keep])
+    thetas = np.split(th, (starts - np.arange(len(logs)))[1:])
+
+    def peak(x):
+        return np.maximum.reduceat(x, starts)
+
+    i1_max, i2_max = peak(np.abs(I1)), peak(np.abs(I2))
+    i2_scale = np.where(i1_max > i2_max, i1_max, i2_max)  # builtin max(i2_max, i1_max)
+    drift_i1 = (peak(I1) - np.minimum.reduceat(I1, starts)) / i1_max
+    drift_i2 = (peak(I2) - np.minimum.reduceat(I2, starts)) / i2_scale
+    rows = []
+    for k, (log, seg, c1, c2, d1, d2) in enumerate(zip(
+            logs, thetas, I1[starts].tolist(), I2[starts].tolist(), drift_i1.tolist(),
+            drift_i2.tolist())):
+        bound = elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1
+        rows.append((first + k, seed, c1, c2, log.reflection_count, bound,
+                     float(seg.max()) if seg.size else 0.0, float(seg.sum()), d1, d2))
+    return rows
 
 
 def cmd_elliptic_simulate(args) -> int:
     _check_size("--count", args.count, 1, MAX_COUNT)
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     t0 = time.monotonic()
-    rows, ends = zip(*(_one_trajectory(cone, args.seed, i) for i in range(args.count)))
-
-    violations = [r for r in rows if r["bound"] >= 0 and r["reflections"] > r["bound"]]
-    bad_sum = [r for r in rows if r["sum_theta"] >= math.pi]
-    max_drift = max(max(r["drift_i1"], r["drift_i2"]) for r in rows)
-
-    if args.out:
-        cols = ["index", "seed", "c1", "c2", "reflections", "bound",
-                "max_theta", "sum_theta", "drift_i1", "drift_i2"]
-        if args.format == "csv":
-            lines = [",".join(cols)]
-            for r in rows:
-                lines.append(",".join(
-                    str(r[c]) if isinstance(r[c], int) else _g17(r[c]) for c in cols
-                ))
-            Path(args.out).write_text("\n".join(lines) + "\n")
-        else:
-            Path(args.out).write_text(json.dumps(rows, indent=1, default=float) + "\n")
+    timings = dict.fromkeys(("trajectories", "accounting", "output"), 0.0)
+    terminations = dict.fromkeys(Termination, 0)
+    violations = bad_sum = 0
+    max_drift = None
+    # rows stream to the output block by block, so memory stays flat in --count
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        if out:
+            out.write(",".join(SIMULATE_COLUMNS) + "\n" if args.format == "csv" else "[\n")
+        for first in range(0, args.count, SIMULATE_BLOCK):
+            t1 = time.monotonic()
+            logs = []
+            for index in range(first, min(first + SIMULATE_BLOCK, args.count)):
+                rng = np.random.Generator(np.random.Philox(
+                    key=np.array([args.seed, index], dtype=np.uint64)))
+                logs.append(elliptic.run_random(cone, rng))
+                terminations[logs[-1].termination] += 1
+            t2 = time.monotonic()
+            rows = _simulate_rows(cone, args.seed, first, logs)
+            violations += sum(r[5] >= 0 and r[4] > r[5] for r in rows)
+            bad_sum += sum(r[7] >= math.pi for r in rows)
+            # builtin max, row by row and then folded over the rows in order
+            drifts = [max(r[8], r[9]) for r in rows]
+            max_drift = max(drifts if max_drift is None else [max_drift, *drifts])
+            t3 = time.monotonic()
+            if out and args.format == "csv":
+                out.writelines(SIMULATE_CSV_ROW % r for r in rows)
+            elif out:
+                # the block's items of json.dumps(all rows, indent=1), without "[\n" and "\n]"
+                text = json.dumps([dict(zip(SIMULATE_COLUMNS, r)) for r in rows], indent=1)
+                out.write((",\n" if first else "") + text[2:-2])
+            timings["trajectories"] += t2 - t1
+            timings["accounting"] += t3 - t2
+            timings["output"] += time.monotonic() - t3
+        if out and args.format == "json":
+            out.write("\n]\n")
 
     report = RunReport(
         command="elliptic simulate",
         config={"semi_a": args.semi_a, "semi_b": args.semi_b, "count": args.count,
                 "seed": args.seed, "out": args.out, "format": args.format},
         passed=not violations and not bad_sum,
-        checks={
-            "bound_violations": len(violations),
-            "sum_theta_ge_pi": len(bad_sum),
-        },
+        checks={"bound_violations": violations, "sum_theta_ge_pi": bad_sum},
         measured={"max_integral_drift": max_drift,
-                  "trajectories": len(rows),
-                  "terminations": {t.value: ends.count(t) for t in Termination}},
+                  "trajectories": args.count,
+                  "terminations": {t.value: n for t, n in terminations.items()}},
+        timings=timings,
         wall_time_s=time.monotonic() - t0,
     )
     report.dump(args.report)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, GrazingError, TangencyWarning, Termination
 from .geometry import (
     OrientedLine,
+    _normalized,
     angle_between,
     angular_momenta,
     near_apex,
@@ -55,18 +56,18 @@ class EllipticCone:
 
     def quadric(self, x) -> float:
         """Q(x) = (x1/a)^2 + (x2/b)^2 - x3^2; negative strictly inside."""
-        x = np.asarray(x, dtype=float)
-        return float((x[0] / self.a) ** 2 + (x[1] / self.b) ** 2 - x[2] ** 2)
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        return (x0 / self.a) ** 2 + (x1 / self.b) ** 2 - x2 ** 2
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([2.0 * x[0] / self.a**2, 2.0 * x[1] / self.b**2, -2.0 * x[2]])
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        return np.array([2.0 * x0 / self.a**2, 2.0 * x1 / self.b**2, -2.0 * x2])
 
     def surface_point(self, phi: float, t: float = 1.0) -> np.ndarray:
-        return t * np.array([self.a * math.cos(phi), self.b * math.sin(phi), 1.0])
+        return np.array([t * (self.a * math.cos(phi)), t * (self.b * math.sin(phi)), float(t)])
 
     def inward_normal(self, x) -> np.ndarray:
-        return unit(-self.gradient(x))
+        return _normalized(-self.gradient(x))
 
     def section_angle(self, x) -> float:
         """Elliptic parameter angle of a surface point: x = t(a cos, b sin, 1)."""
@@ -77,11 +78,15 @@ class EllipticCone:
 def first_integrals(cone: EllipticCone, x, v) -> tuple:
     """(I1, I2) of the line through x with direction v.
 
-    x and v are one line's (3,) arrays or stacks of lines, (n, 3) arrays;
-    the m_ij are taken along the last axis.
+    x and v are one line's (3,) arrays, giving floats, or stacks of lines,
+    (n, 3) arrays; the m_ij are taken along the last axis.  One line runs on
+    Python floats, elementwise the same operations.
     """
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    if np.ndim(x) == np.ndim(v) == 1:
+        (x0, x1, x2), (v0, v1, v2) = np.asarray(x, float).tolist(), np.asarray(v, float).tolist()
+    else:
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     m12 = x0 * v1 - x1 * v0
     m13 = x0 * v2 - x2 * v0
     m23 = x1 * v2 - x2 * v1
@@ -163,15 +168,19 @@ def next_intersection(cone: EllipticCone, p: np.ndarray,
     Substituting the ray into Q gives A t^2 + B t + C; of the roots, taken
     through the stable q-form, the first counts that lies above t_min, is
     an exit (2 A t + B >= 0) and has x3 > 0.  A base on the surface is an
-    entry crossing, so a reflection vertex never returns itself.
+    entry crossing, so a reflection vertex never returns itself.  All of it
+    runs on Python floats, with x ** 2 kept as the libm pow that numpy
+    scalars call: x * x rounds differently.
     """
     if p.size != 3:
         raise DomainError("elliptic stepping lives in R^3")
+    (p0, p1, p2), (v0, v1, v2) = p.tolist(), v.tolist()
     a2, b2 = cone.a**2, cone.b**2
-    A = v[0] ** 2 / a2 + v[1] ** 2 / b2 - v[2] ** 2
-    B = 2.0 * (p[0] * v[0] / a2 + p[1] * v[1] / b2 - p[2] * v[2])
+    A = v0 ** 2 / a2 + v1 ** 2 / b2 - v2 ** 2
+    B = 2.0 * (p0 * v0 / a2 + p1 * v1 / b2 - p2 * v2)
     C = cone.quadric(p)
-    t_min = T_MIN_FACTOR * float(np.linalg.norm(p))
+    p_norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    t_min = T_MIN_FACTOR * p_norm
     if abs(A) < LINEAR_A_TOL:
         # direction on the asymptotic cone: at most one more crossing, an
         # exit only for B > 0 (a subnormal B puts it at infinity)
@@ -189,11 +198,11 @@ def next_intersection(cone: EllipticCone, p: np.ndarray,
         roots = sorted({q / A, C / q} if q != 0.0 else {0.0})
     for t in roots:
         if t > t_min and 2.0 * A * t + B >= 0.0:
-            hit = p + t * v
-            if near_apex(hit, p):
+            h0, h1, h2 = p0 + t * v0, p1 + t * v1, p2 + t * v2
+            if near_apex(math.sqrt(h0 * h0 + h1 * h1 + h2 * h2), p_norm):
                 return Termination.APEX
-            if hit[2] > 0.0:
-                return hit
+            if h2 > 0.0:
+                return np.array([h0, h1, h2])
     return Termination.ESCAPED
 
 
@@ -359,7 +368,7 @@ def sample_start(cone: EllipticCone, rng: np.random.Generator) -> OrientedLine:
     n_in = cone.inward_normal(base)
     while True:
         v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(np.dot(v, v))  # np.linalg.norm's bits
         if norm < 1e-12:
             continue
         v = v / norm

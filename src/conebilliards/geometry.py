@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Union
 
 import numpy as np
@@ -28,9 +29,10 @@ APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
 
 
-def near_apex(hit: np.ndarray, base: np.ndarray) -> bool:
-    """True when ``hit`` lies within APEX_TOL * max(1, |base|) of the apex."""
-    return float(np.linalg.norm(hit)) < APEX_TOL * max(1.0, float(np.linalg.norm(base)))
+def near_apex(hit_norm: float, base_norm: float) -> bool:
+    """True when a hit at |hit| = hit_norm lies within APEX_TOL * max(1, |base|)
+    of the apex."""
+    return hit_norm < APEX_TOL * max(1.0, base_norm)
 
 
 def _vec(x, stack: bool = False) -> np.ndarray:
@@ -40,7 +42,7 @@ def _vec(x, stack: bool = False) -> np.ndarray:
     if v.ndim not in ((1, 2) if stack else (1,)) or v.shape[-1] < 2:
         kind = "a vector or an (n, d) stack" if stack else "a 1-d vector"
         raise DomainError(f"expected {kind} of dimension >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DomainError("vector has non-finite coordinates")
     return v
 
@@ -71,8 +73,20 @@ def unit(x) -> np.ndarray:
 
 
 def check_unit(v: np.ndarray) -> None:
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
-        raise DomainError(f"direction is not unit within {UNIT_TOL}: |v| = {np.linalg.norm(v)}")
+    norm = math.hypot(*v.tolist())
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise DomainError(f"direction is not a finite unit vector within {UNIT_TOL}: |v| = {norm}")
+
+
+def _normalized(g: np.ndarray) -> np.ndarray:
+    """g / sqrt(np.dot(g, g)) of a 1-d array: unit's bits for a contiguous g.
+    The zero, overflow and finiteness test sums squares on Python floats,
+    which overflow to inf without a warning."""
+    gl = g.tolist()
+    if not 0.0 < sum(map(mul, gl, gl)) < math.inf:
+        raise DomainError("cannot normalize a (near-)zero or overflowing vector")
+    norm = math.sqrt(g.dot(g))
+    return np.array([x / norm for x in gl])
 
 
 @dataclass(frozen=True)
@@ -130,16 +144,21 @@ def reflect_direction(v, normal) -> np.ndarray:
     """Specular reflection v - 2<v,n>n of a unit v, renormalized; n is
     ``normal`` normalized, so any nonzero length will do.
 
-    Tangential components are preserved, the normal component flips.
+    Tangential components are preserved, the normal component flips.  The
+    three dots that set bits (|normal|, <v,n> and |w|) go through np.dot,
+    whose FMA chain on 3-vectors a plain Python sum does not reproduce.
     """
-    v = _vec(v)
+    v, g = np.asarray(v, dtype=float), np.asarray(normal, dtype=float)
+    if v.ndim != 1 or v.shape != g.shape or v.size < 2:
+        raise DomainError(f"need a direction and a normal of one dimension >= 2, "
+                          f"got shapes {v.shape} and {g.shape}")
     check_unit(v)
-    n = unit(normal)
-    vn = float(np.dot(v, n))
+    n = _normalized(g)
+    vn = float(v.dot(n))
     if abs(vn) < GRAZING_TOL:
         raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
-    w = v - 2.0 * vn * n
-    return w / np.sqrt(_dots(w, w))
+    c = 2.0 * vn
+    return _normalized(np.array([a - c * b for a, b in zip(v.tolist(), n.tolist())]))
 
 
 def angle_between(u, w):
@@ -493,7 +512,7 @@ def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     tail = np.empty(3)
     for i in range(3):
         hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(p_tail[i]), t_hit, float(v[i]))
-    if near_apex(hit, p):
+    if near_apex(float(np.linalg.norm(hit)), float(np.linalg.norm(p))):
         return Termination.APEX
     try:
         out = reflect_direction(v, cone.normal_at(hit))

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from conebilliards import cli, elliptic
 from conebilliards.cli import main
+from conebilliards.elliptic import EllipticCone, TrajectoryLog
+from conebilliards.errors import Termination
 from conebilliards.geometry import OrientedLine, angle_between, line_distance_sq
 from conebilliards.spiral import SQRT2, SpiralTrajectory, theta, theta_tail
 
@@ -325,6 +329,85 @@ def test_simulate_csv_pinned(tmp_path, a, b, digest):
     assert main(["elliptic", "simulate", "--semi-a", a, "--semi-b", b, "--count", "300",
                  "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_2000_starts_pinned(tmp_path):
+    # the criterion-3 batch of 2000 starts on the (2,1) cone, as first recorded:
+    # every CSV byte and the report's drift figure
+    out, rep = tmp_path / "rows.csv", tmp_path / "rep.json"
+    assert main(["elliptic", "simulate", "--count", "2000", "--seed", "7",
+                 "--out", str(out), "--report", str(rep)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3564c937bfa7e8f32102a9686007cb78bbc81f22cba40416fa91a5e36510b82f")
+    measured = json.loads(rep.read_text())["measured"]
+    assert measured["max_integral_drift"] == 2.2415031229286823e-12
+    assert measured["terminations"]["escaped"] == 2000
+
+
+def test_simulate_json_pinned(tmp_path):
+    # every byte of a --format json batch, as first recorded
+    out = tmp_path / "rows.json"
+    assert main(["elliptic", "simulate", "--semi-a", "3", "--semi-b", "2", "--count", "50",
+                 "--seed", "7", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "31998095c77042b4e5957769af445067a52515ab2b9278a212433405816407ff")
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_simulate_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, block):
+    # the pinned batches again, accounted and written in blocks of 1 and 7
+    monkeypatch.setattr(cli, "SIMULATE_BLOCK", block)
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--count", "300", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "702efa7dd1c9e6d618ac59ebd05b7f855a4415d592c5ba7c25b9b0890621328f")
+    out = tmp_path / "rows.json"
+    assert main(["elliptic", "simulate", "--semi-a", "3", "--semi-b", "2", "--count", "50",
+                 "--seed", "7", "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "31998095c77042b4e5957769af445067a52515ab2b9278a212433405816407ff")
+
+
+def _bits(row) -> list:
+    return [struct.pack("<d", x) if isinstance(x, float) else x for x in row]
+
+
+def test_block_accounting_equals_the_per_log_methods():
+    # one pass over a block against TrajectoryLog.integrals, thetas,
+    # integral_drift and reflection_count, log by log, bit for bit
+    cone = EllipticCone(2.0, 1.0)
+    logs = []
+    for index in (0, 2, 864, 34, 431, 239):  # 0, 1, 7, 8, 9 and 308 thetas
+        rng = np.random.Generator(np.random.Philox(key=np.array([7, index], dtype=np.uint64)))
+        logs.append(elliptic.run_random(cone, rng))
+    long = logs[-1]
+    # prefixes across numpy's pairwise-sum blocks of 8 and 128, with every ending
+    ends = list(Termination) * 2
+    for k, end in zip((1, 2, 9, 10, 101, 128, 129, 130, 200, 257), ends):
+        logs.append(TrajectoryLog(cone, long.bases[:k], long.dirs[:k], end, True))
+    assert [len(log.thetas()) for log in logs] == [
+        0, 1, 7, 8, 9, 308, 0, 1, 8, 9, 100, 127, 128, 129, 199, 256]
+    rows = cli._simulate_rows(cone, 7, 40, logs)
+    assert len(rows) == len(logs)
+    for k, (log, row) in enumerate(zip(logs, rows)):
+        pair, th = log.integrals(), log.thetas()
+        c1, c2 = float(pair.I1[0]), float(pair.I2[0])
+        expect = (40 + k, 7, c1, c2, log.reflection_count,
+                  elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1,
+                  float(th.max()) if th.size else 0.0, float(th.sum()), *log.integral_drift())
+        assert [type(x) for x in row] == [type(x) for x in expect]
+        assert _bits(row) == _bits(expect)
+
+
+def test_simulate_reports_phase_timings(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main(["elliptic", "simulate", "--count", "30", "--seed", "7",
+                 "--out", str(tmp_path / "rows.csv"), "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    timings = data["timings"]
+    assert sorted(timings) == ["accounting", "output", "trajectories"]
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) <= data["wall_time_s"]
 
 
 def test_simulate_smallest_semi_axis(tmp_path):
