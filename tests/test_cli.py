@@ -428,3 +428,20 @@ def test_simulate_huge_semi_axis(tmp_path):
     assert len(rows) == 20
     assert all(int(r["bound"]) >= 1 for r in rows if float(r["c2"]) > 0.0)
     assert any(float(r["c2"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["spiral", "vertices", "--a", "0", "--kmax", "3000"],
+     "8e1bce3c2eb10867ac4f944c18380baa7de4e95031324f2f9d1b2f630333fe0e"),
+    (["spiral", "vertices", "--a", "0.3", "--kmax", "500", "--format", "json"],
+     "10fab84eb1e5283f8985903595115fcdeb5c27c112dcb47cf9eb4d86ea5fee7c"),
+    (["curve", "export", "--kmax", "20000", "--grid", "301"],
+     "7f2cf264c49c77c381a364950f64af52d1e73f72e3df6edc115eed50bd01cb89"),
+    (["curve", "export", "--kmax", "20000", "--grid", "301", "--format", "json"],
+     "6ccfbb40d7a5390cbcc7d5230492edfb53f04d80392e5971b8678d3876c634ae"),
+])
+def test_table_outputs_pinned(tmp_path, argv, digest):
+    # every byte of a vertex and a curve table, CSV and JSON, as first recorded
+    out = tmp_path / "table"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
