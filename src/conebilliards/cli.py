@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -28,8 +29,9 @@ from .spiral import SpiralParams, SpiralTrajectory
 SCHEMA_VERSION = 1
 
 
-def _g17(x: float) -> str:
-    return f"{float(x):.17g}"
+def _output(path: Optional[str]):
+    """The file at path, opened for writing, or stdout if path is None."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 @dataclass
@@ -43,12 +45,9 @@ class RunReport:
     wall_time_s: float = 0.0
     schema_version: int = SCHEMA_VERSION
 
-    def dump(self, out: Optional[str]) -> None:
-        text = json.dumps(asdict(self), indent=2, default=float) + "\n"
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
+    def dump(self, path: Optional[str]) -> None:
+        with _output(path) as out:
+            out.write(json.dumps(asdict(self), indent=2, default=float) + "\n")
 
 
 def _fail(msg: str) -> "SystemExit":
@@ -56,7 +55,8 @@ def _fail(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
-# Upper limits of the size flags, checked before anything is built.
+# Upper limits of the size flags; argparse refuses a larger value before
+# anything is built.
 MAX_COUNT = 100_000      # elliptic simulate --count: one row per trajectory
 MAX_KMAX = 1_000_000     # every --kmax: tail and sigma tables of kmax + 2 entries
 MAX_GRID = 100_000       # curve and ndim --grid
@@ -64,10 +64,42 @@ MAX_N = 6                # ndim check --n: the Hessian grid has dimension n - 2
 MAX_STEPS = 10_000       # replay and ndim check --steps
 
 
-def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
-    """Exit 2 unless lo <= value <= hi."""
-    if not lo <= value <= hi:
-        raise _fail(f"need {lo} <= {flag} <= {hi}, got {value}")
+def _bounded(kind: type, lo, hi):
+    """An argparse type: kind(text), refused unless lo <= value <= hi."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:  # also refuses a nan
+            raise argparse.ArgumentTypeError(f"need {lo} <= value <= {hi}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+@contextlib.contextmanager
+def _table(path: Optional[str], fmt: str, columns: dict):
+    """Yield write(rows), which streams rows, tuples in the order of columns
+    (a map of each name to "%d" or "%.17g"), to path or stdout: as CSV, or as
+    json.dumps([dict(zip(columns, row)), ...], indent=1) writes finite floats."""
+    with _output(path) as out:
+        if fmt == "csv":
+            out.write(",".join(columns) + "\n")
+            line = ",".join(columns.values()) + "\n"
+            yield lambda rows: out.writelines(line % row for row in rows)
+            return
+        item = "{\n" + ",\n".join(
+            f'  "{name}": {"%r" if f == "%.17g" else f}' for name, f in columns.items()) + "\n }"
+        out.write("[")
+        sep = "\n "  # written before a block: ",\n " once an item is out
+
+        def write(rows):
+            nonlocal sep
+            text = ",\n ".join(item % row for row in rows)
+            if text:
+                out.write(sep + text)
+                sep = ",\n "
+
+        yield write
+        out.write("]\n" if sep == "\n " else "\n]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +107,9 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 # ---------------------------------------------------------------------------
 
 SIMULATE_BLOCK = 1024  # trajectories whose logs one accounting pass reads; bounds the memory
-SIMULATE_COLUMNS = ("index", "seed", "c1", "c2", "reflections", "bound",
-                    "max_theta", "sum_theta", "drift_i1", "drift_i2")
-SIMULATE_CSV_ROW = "%d,%d,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+SIMULATE_COLUMNS = {"index": "%d", "seed": "%d", "c1": "%.17g", "c2": "%.17g",
+                    "reflections": "%d", "bound": "%d", "max_theta": "%.17g",
+                    "sum_theta": "%.17g", "drift_i1": "%.17g", "drift_i2": "%.17g"}
 
 
 def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
@@ -117,18 +149,15 @@ def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
     return rows
 
 
-def cmd_elliptic_simulate(args) -> int:
-    _check_size("--count", args.count, 1, MAX_COUNT)
+def cmd_elliptic_simulate(args) -> RunReport:
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
-    t0 = time.monotonic()
     timings = dict.fromkeys(("trajectories", "accounting", "output"), 0.0)
     terminations = dict.fromkeys(Termination, 0)
     violations = bad_sum = 0
     max_drift = None
     # rows stream to the output block by block, so memory stays flat in --count
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
-        if out:
-            out.write(",".join(SIMULATE_COLUMNS) + "\n" if args.format == "csv" else "[\n")
+    with _table(args.out, args.format, SIMULATE_COLUMNS) if args.out else \
+            contextlib.nullcontext() as write:
         for first in range(0, args.count, SIMULATE_BLOCK):
             t1 = time.monotonic()
             logs = []
@@ -145,19 +174,12 @@ def cmd_elliptic_simulate(args) -> int:
             drifts = [max(r[8], r[9]) for r in rows]
             max_drift = max(drifts if max_drift is None else [max_drift, *drifts])
             t3 = time.monotonic()
-            if out and args.format == "csv":
-                out.writelines(SIMULATE_CSV_ROW % r for r in rows)
-            elif out:
-                # the block's items of json.dumps(all rows, indent=1), without "[\n" and "\n]"
-                text = json.dumps([dict(zip(SIMULATE_COLUMNS, r)) for r in rows], indent=1)
-                out.write((",\n" if first else "") + text[2:-2])
+            if write:
+                write(rows)
             timings["trajectories"] += t2 - t1
             timings["accounting"] += t3 - t2
             timings["output"] += time.monotonic() - t3
-        if out and args.format == "json":
-            out.write("\n]\n")
-
-    report = RunReport(
+    return RunReport(
         command="elliptic simulate",
         config={"semi_a": args.semi_a, "semi_b": args.semi_b, "count": args.count,
                 "seed": args.seed, "out": args.out, "format": args.format},
@@ -167,17 +189,14 @@ def cmd_elliptic_simulate(args) -> int:
                   "trajectories": args.count,
                   "terminations": {t.value: n for t, n in terminations.items()}},
         timings=timings,
-        wall_time_s=time.monotonic() - t0,
     )
-    report.dump(args.report)
-    return 0 if report.passed else 1
 
 
 def cmd_elliptic_bound(args) -> int:
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
     angle = elliptic.min_vertex_angle(cone, args.c1, args.c2)
     bound = elliptic.reflection_bound(cone, args.c1, args.c2)
-    print(f"min vertex angle: {_g17(angle)} rad")
+    print(f"min vertex angle: {angle:.17g} rad")
     print(f"reflection bound N: {bound}")
     return 0
 
@@ -186,15 +205,13 @@ def cmd_elliptic_bound(args) -> int:
 # spiral
 # ---------------------------------------------------------------------------
 
-def cmd_spiral_verify(args) -> int:
-    # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
-    _check_size("--kmax", args.kmax, 9, MAX_KMAX)
-    if not 0.0 < args.tol < math.inf:  # a nan or inf threshold passes every distance
-        raise _fail(f"need 0 < --tol < inf, got {args.tol}")
-    params = SpiralParams(a=args.a)
+def cmd_spiral_verify(args) -> RunReport:
     t0 = time.monotonic()
     kmax = args.kmax
-    traj = SpiralTrajectory(params.a, kmax=kmax + 1)
+    traj = SpiralTrajectory(args.a, kmax=kmax + 1)
+    if traj.k0 >= kmax:  # no k to check, and the length check needs k0 <= kmax - 1
+        raise _fail(f"k0 = {traj.k0} for a = {args.a} is not below --kmax {kmax}")
+    t1 = time.monotonic()
     ks = np.unique(np.concatenate([
         np.arange(traj.k0, min(traj.k0 + 64, kmax)),
         np.geomspace(max(traj.k0, 1), kmax - 1, 256).astype(int),
@@ -216,11 +233,14 @@ def cmd_spiral_verify(args) -> int:
     }
     failures = [(int(k[dev > tol][0]), order, name)
                 for order, (name, (k, dev, tol)) in enumerate(residuals.items()) if np.any(dev > tol)]
-    first_fail = None
-    if failures:
-        k, _, name = min(failures)
-        first_fail = (name, k)
+    # the failures in the order they are reported: the earliest per-k one,
+    # then the length, then the sigma asymptotics
+    fails = [(name, k) for k, _, name in sorted(failures)[:1]]
     worst = {name: float(dev.max(initial=0.0)) for name, (_, dev, _) in residuals.items()}
+    k_sig = min(kmax, 10_000)
+    b_k = float(spiral.sigma(k_sig)) * k_sig**2.5
+    sigma_ok = abs(b_k - 3.0 / 16.0) <= 0.01 * (3.0 / 16.0)
+    t2 = time.monotonic()
 
     total = traj.total_length()
     length_infinite = math.isinf(total)
@@ -232,21 +252,20 @@ def cmd_spiral_verify(args) -> int:
         length_dev = abs(partial - chords)
         # scale-aware band: near the admissibility boundary the first chord
         # is ~1/margin long and the comparison floor is eps * total
-        if length_dev > max(1e-8, 1e-12 * total) and first_fail is None:
-            first_fail = ("length", k_hi)
+        if length_dev > max(1e-8, 1e-12 * total):
+            fails.append(("length", k_hi))
+    if not sigma_ok:
+        fails.append(("sigma_asymptotics", k_sig))
+    t3 = time.monotonic()
 
-    k_sig = min(kmax, 10_000)
-    b_k = float(spiral.sigma(k_sig)) * k_sig**2.5
-    sigma_ok = abs(b_k - 3.0 / 16.0) <= 0.01 * (3.0 / 16.0)
-    if not sigma_ok and first_fail is None:
-        first_fail = ("sigma_asymptotics", k_sig)
-
-    report = RunReport(
+    if fails:
+        print(f"FAIL at k={fails[0][1]}: {fails[0][0]}", file=sys.stderr)
+    return RunReport(
         command="spiral verify",
         config={"a": args.a, "kmax": kmax, "tol": args.tol},
-        passed=first_fail is None,
+        passed=not fails,
         checks={
-            "first_failure": list(first_fail) if first_fail else None,
+            "first_failure": list(fails[0]) if fails else None,
             "length_infinite": length_infinite,
         },
         measured={
@@ -258,44 +277,20 @@ def cmd_spiral_verify(args) -> int:
             "total_length": None if length_infinite else total,
             "sigma_b_at_k": {"k": k_sig, "b": b_k},
         },
-        wall_time_s=time.monotonic() - t0,
+        timings={"table": t1 - t0, "checks": t2 - t1, "length": t3 - t2},
     )
-    report.dump(args.report)
-    if first_fail is not None:
-        print(f"FAIL at k={first_fail[1]}: {first_fail[0]}", file=sys.stderr)
-        return 1
-    return 0
 
 
-VERTEX_BLOCK = 65_536  # vertices formatted per block; bounds the Python objects alive
-CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
-# one element of json.dumps(rows, indent=1), which prints a float as its repr
-JSON_ROW = '{\n  "k": %d,\n  "x1": %r,\n  "x2": %r,\n  "x3": %r\n }'
-
-
-def _vertex_rows(ks: np.ndarray, pts: np.ndarray, fmt: str):
-    """fmt % (k, x1, x2, x3) for each vertex, in order."""
-    for lo in range(0, ks.size, VERTEX_BLOCK):
-        hi = lo + VERTEX_BLOCK
-        yield from (fmt % row for row in zip(ks[lo:hi].tolist(), *pts[lo:hi].T.tolist()))
+VERTEX_BLOCK = 65_536  # vertices evaluated and written per block; bounds the memory
 
 
 def cmd_spiral_vertices(args) -> int:
-    _check_size("--kmax", args.kmax, 1, MAX_KMAX)
-    params = SpiralParams(a=args.a)
-    traj = SpiralTrajectory(params.a, kmax=args.kmax + 1)
-    ks = np.arange(traj.k0, args.kmax + 1)
-    pts = traj.vertex(ks)
-    # rows stream to the output, so memory stays flat in kmax
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        if args.format == "csv":
-            out.write("k,x1,x2,x3\n")
-            out.writelines(_vertex_rows(ks, pts, CSV_ROW))
-        else:
-            out.write("[")
-            out.writelines(("\n " if i == 0 else ",\n ") + row
-                           for i, row in enumerate(_vertex_rows(ks, pts, JSON_ROW)))
-            out.write("\n]\n" if ks.size else "]\n")
+    traj = SpiralTrajectory(args.a, kmax=args.kmax + 1)
+    columns = {"k": "%d", "x1": "%.17g", "x2": "%.17g", "x3": "%.17g"}
+    with _table(args.out, args.format, columns) as write:
+        for lo in range(traj.k0, args.kmax + 1, VERTEX_BLOCK):
+            ks = np.arange(lo, min(lo + VERTEX_BLOCK, args.kmax + 1))
+            write(zip(ks.tolist(), *traj.vertex(ks).T.tolist()))
     return 0
 
 
@@ -305,8 +300,6 @@ def cmd_spiral_vertices(args) -> int:
 
 def _build_curve_from_args(args):
     """The section curve for --a, --kmax and --k1-min; exits 2 if it cannot be built."""
-    if args.kmax > MAX_KMAX:
-        raise _fail(f"need --kmax <= {MAX_KMAX}, got {args.kmax}")
     try:
         return curve_mod.build_curve(SpiralParams(a=args.a), kmax=args.kmax, k1_min=args.k1_min)
     except (ConstructionError, DomainError) as exc:
@@ -359,20 +352,20 @@ def _curve_svg(curve) -> str:
     return svgplot.document([(main, (0.0, 0.0)), (zoom, (0.0, 570.0))], 560, 860)
 
 
-def cmd_curve_build(args) -> int:
-    _check_size("--grid", args.grid, 4, MAX_GRID)
+def cmd_curve_build(args) -> RunReport:
     t0 = time.monotonic()
     curve = _build_curve_from_args(args)
+    t1 = time.monotonic()
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "curve.json").write_text(json.dumps(_curve_table(curve, args.grid)) + "\n")
     (out_dir / "curve.svg").write_text(_curve_svg(curve))
+    t2 = time.monotonic()
 
     ks = np.unique(np.geomspace(max(curve.k1 + 1, 100), min(curve.kmax - 2, 50_000), 24).astype(int))
     kap_min = float(curve.curvature(curve.window_samples(ks, 96)).min())
     census = curve_mod.sign_change_census(curve, curve.k1 + 1, min(curve.k1 + 2000, curve.kmax - 2))
-
-    report = RunReport(
+    return RunReport(
         command="curve build",
         config={"a": args.a, "kmax": args.kmax, "k1_min": args.k1_min, "grid": args.grid,
                 "out": str(out_dir)},
@@ -380,41 +373,33 @@ def cmd_curve_build(args) -> int:
         checks={"kappa_min_sampled": kap_min,
                 "sign_changes_first_2000": census},
         measured={"k1": curve.k1, "bump_constant": curve_mod.bump_constant()},
-        wall_time_s=time.monotonic() - t0,
+        timings={"build": t1 - t0, "output": t2 - t1, "checks": time.monotonic() - t2},
     )
-    report.dump(args.report)
-    return 0 if report.passed else 1
 
 
 def cmd_curve_export(args) -> int:
-    _check_size("--grid", args.grid, 4, MAX_GRID)
-    curve = _build_curve_from_args(args)
-    table = _curve_table(curve, args.grid)
-    if args.format == "csv":
-        lines = ["xi,rho,drho,d2rho,kappa"]
-        for i in range(len(table["xi"])):
-            lines.append(",".join(_g17(table[c][i]) for c in ("xi", "rho", "drho", "d2rho", "kappa")))
-        text = "\n".join(lines) + "\n"
+    table = _curve_table(_build_curve_from_args(args), args.grid)
+    if args.format == "json":
+        with _output(args.out) as out:
+            out.write(json.dumps(table) + "\n")
     else:
-        text = json.dumps(table) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        columns = dict.fromkeys(("xi", "rho", "drho", "d2rho", "kappa"), "%.17g")
+        with _table(args.out, "csv", columns) as write:
+            write(zip(*(table[c] for c in columns)))
     return 0
 
 
-def cmd_replay(args) -> int:
-    _check_size("--steps", args.steps, 1, MAX_STEPS)
+def cmd_replay(args) -> RunReport | int:
     t0 = time.monotonic()
     params = SpiralParams(a=args.a)
     curve = _build_curve_from_args(args)
+    t1 = time.monotonic()
     try:
         rep = curve_mod.replay(curve, params, steps=args.steps, strict=True)
     except ReplayFailure as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
-    report = RunReport(
+    return RunReport(
         command="replay",
         config={"a": args.a, "steps": args.steps, "kmax": args.kmax, "k1_min": args.k1_min},
         passed=True,
@@ -430,16 +415,11 @@ def cmd_replay(args) -> int:
             "remaining_length": rep.tail_length,
             "total_length": rep.total_length,
         },
-        wall_time_s=time.monotonic() - t0,
+        timings={"build": t1 - t0, "replay": time.monotonic() - t1},
     )
-    report.dump(args.report)
-    return 0
 
 
-def cmd_ndim_check(args) -> int:
-    _check_size("--n", args.n, 3, MAX_N)
-    _check_size("--grid", args.grid, 1, MAX_GRID)
-    _check_size("--steps", args.steps, 1, MAX_STEPS)
+def cmd_ndim_check(args) -> RunReport | int:
     t0 = time.monotonic()
     curve = _build_curve_from_args(args)
     t_build = time.monotonic()
@@ -453,21 +433,17 @@ def cmd_ndim_check(args) -> int:
     traj = SpiralTrajectory(args.a, kmax=max(curve.kmax, 10_000))
     emb = ndim.embedded_reflection_check(section, traj, count=args.steps)
     t_embed = time.monotonic()
-    passed = emb.max_tangential_residual < 1e-10 and emb.max_perpendicular_residual == 0.0
-    report = RunReport(
+    return RunReport(
         command="ndim check",
         config={"n": args.n, "grid": args.grid, "a": args.a, "steps": args.steps},
-        passed=passed,
+        passed=emb.max_tangential_residual < 1e-10 and emb.max_perpendicular_residual == 0.0,
         checks=asdict(rep),
         measured={
             "embedded_max_tangential_residual": emb.max_tangential_residual,
             "embedded_max_perpendicular_residual": emb.max_perpendicular_residual,
         },
         timings={"build": t_build - t0, "negdef": t_negdef - t_build, "embed": t_embed - t_negdef},
-        wall_time_s=time.monotonic() - t0,
     )
-    report.dump(args.report)
-    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +454,38 @@ _FLAGS = {
     "--out": dict(default=None, help="output file or directory"),
     "--report": dict(default=None, help="write the JSON run report here"),
     "--format": dict(choices=("csv", "json"), default="csv"),
-    "--seed": dict(type=int, default=20250801),
-    "--tol": dict(type=float, default=1e-10, help="spiral verify's distance threshold is "
+    "--seed": dict(type=_bounded(int, 0, 2**64 - 1), default=20250801),  # a Philox key word
+    # positive and finite: a nan or inf threshold passes every distance
+    "--tol": dict(type=_bounded(float, 5e-324, sys.float_info.max), default=1e-10,
+                  help="spiral verify's distance threshold is "
                   "max(TOL, 1e-13 |tan A_k|): TOL below that floor has no effect"),
+    "--semi-a": dict(type=float, default=2.0),
+    "--semi-b": dict(type=float, default=1.0),
+    "--a": dict(type=float, default=0.0),
+    "--steps": dict(type=_bounded(int, 1, MAX_STEPS), default=1000),
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Attach the shared flags a command reads, and only those."""
+def _command(sub, name: str, func, help: str, *flags: str) -> argparse.ArgumentParser:
+    """The subcommand that runs func, with the shared flags it reads, and only those."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
+    return p
 
 
+def _curve_command(sub, name: str, func, help: str, *flags: str) -> argparse.ArgumentParser:
+    """A command that builds the section curve from --a, --kmax and --k1-min."""
+    p = _command(sub, name, func, help, "--a", *flags)
+    p.add_argument("--kmax", type=_bounded(int, 1, MAX_KMAX), default=130_000)
+    p.add_argument("--k1-min", type=int, default=9)
+    return p
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="billiards",
         description="billiard dynamics inside cones: simulation and verification",
@@ -498,81 +493,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("elliptic", help="elliptic-cone billiard")
-    se = pe.add_subparsers(dest="subcommand", required=True)
-    sim = se.add_parser("simulate", help="random trajectory batch with bound checks")
-    sim.add_argument("--semi-a", type=float, default=2.0)
-    sim.add_argument("--semi-b", type=float, default=1.0)
-    sim.add_argument("--count", type=int, default=1000)
-    _add_flags(sim, "--out", "--report", "--format", "--seed")
-    sim.set_defaults(func=cmd_elliptic_simulate)
-    bnd = se.add_parser("bound", help="print the reflection bound for (c1, c2)")
-    bnd.add_argument("--semi-a", type=float, default=2.0)
-    bnd.add_argument("--semi-b", type=float, default=1.0)
+    se = sub.add_parser("elliptic", help="elliptic-cone billiard").add_subparsers(
+        dest="subcommand", required=True)
+    _command(se, "simulate", cmd_elliptic_simulate, "random trajectory batch with bound checks",
+             "--semi-a", "--semi-b", "--out", "--report", "--format", "--seed",
+             ).add_argument("--count", type=_bounded(int, 1, MAX_COUNT), default=1000)
+    bnd = _command(se, "bound", cmd_elliptic_bound, "print the reflection bound for (c1, c2)",
+                   "--semi-a", "--semi-b")
     bnd.add_argument("--c1", type=float, required=True)
     bnd.add_argument("--c2", type=float, required=True)
-    bnd.set_defaults(func=cmd_elliptic_bound)
 
-    ps = sub.add_parser("spiral", help="closed-form trajectory checks")
-    ss = ps.add_subparsers(dest="subcommand", required=True)
-    ver = ss.add_parser("verify", help="distance/angle/length/sigma suites")
-    ver.add_argument("--a", type=float, default=0.0)
-    ver.add_argument("--kmax", type=int, default=100_000)
-    _add_flags(ver, "--report", "--tol")
-    ver.set_defaults(func=cmd_spiral_verify)
-    vtx = ss.add_parser("vertices", help="emit the vertex table")
-    vtx.add_argument("--a", type=float, default=0.0)
-    vtx.add_argument("--kmax", type=int, default=1000)
-    _add_flags(vtx, "--out", "--format")
-    vtx.set_defaults(func=cmd_spiral_vertices)
+    ss = sub.add_parser("spiral", help="closed-form trajectory checks").add_subparsers(
+        dest="subcommand", required=True)
+    # the 3/16 k^(-5/2) law of sigma_k is within its 1 % band from k = 9 on
+    _command(ss, "verify", cmd_spiral_verify, "distance/angle/length/sigma suites",
+             "--a", "--report", "--tol",
+             ).add_argument("--kmax", type=_bounded(int, 9, MAX_KMAX), default=100_000)
+    _command(ss, "vertices", cmd_spiral_vertices, "emit the vertex table",
+             "--a", "--out", "--format",
+             ).add_argument("--kmax", type=_bounded(int, 1, MAX_KMAX), default=1000)
 
-    pc = sub.add_parser("curve", help="build/export the C2 section curve")
-    sc = pc.add_subparsers(dest="subcommand", required=True)
-    bld = sc.add_parser("build", help="build the curve, write JSON table + SVG")
-    bld.add_argument("--a", type=float, default=0.0)
-    bld.add_argument("--kmax", type=int, default=130_000)
-    bld.add_argument("--k1-min", type=int, default=9)
-    bld.add_argument("--grid", type=int, default=2000)
-    _add_flags(bld, "--out", "--report")
-    bld.set_defaults(func=cmd_curve_build)
-    exp = sc.add_parser("export", help="emit the curve table")
-    exp.add_argument("--a", type=float, default=0.0)
-    exp.add_argument("--kmax", type=int, default=130_000)
-    exp.add_argument("--k1-min", type=int, default=9)
-    exp.add_argument("--grid", type=int, default=2000)
-    _add_flags(exp, "--out", "--format")
-    exp.set_defaults(func=cmd_curve_export)
+    sc = sub.add_parser("curve", help="build/export the C2 section curve").add_subparsers(
+        dest="subcommand", required=True)
+    for p in (_curve_command(sc, "build", cmd_curve_build,
+                             "build the curve, write JSON table + SVG", "--out", "--report"),
+              _curve_command(sc, "export", cmd_curve_export, "emit the curve table",
+                             "--out", "--format")):
+        p.add_argument("--grid", type=_bounded(int, 4, MAX_GRID), default=2000)
 
-    pr = sub.add_parser("replay", help="simulate on the built cone vs closed form")
-    pr.add_argument("--a", type=float, default=0.0)
-    pr.add_argument("--steps", type=int, default=1000)
-    pr.add_argument("--kmax", type=int, default=130_000)
-    pr.add_argument("--k1-min", type=int, default=9)
-    _add_flags(pr, "--report")
-    pr.set_defaults(func=cmd_replay)
+    _curve_command(sub, "replay", cmd_replay, "simulate on the built cone vs closed form",
+                   "--steps", "--report")
 
-    pn = sub.add_parser("ndim", help="R^n convexity and embedding checks")
-    sn = pn.add_subparsers(dest="subcommand", required=True)
-    chk = sn.add_parser("check", help="Hessian sweep + embedded reflections")
-    chk.add_argument("--n", type=int, default=4)
-    chk.add_argument("--grid", type=int, default=10_000)
-    chk.add_argument("--a", type=float, default=0.0)
-    chk.add_argument("--steps", type=int, default=1000)
-    chk.add_argument("--kmax", type=int, default=130_000)
-    chk.add_argument("--k1-min", type=int, default=9)
-    _add_flags(chk, "--report")
-    chk.set_defaults(func=cmd_ndim_check)
-
+    sn = sub.add_parser("ndim", help="R^n convexity and embedding checks").add_subparsers(
+        dest="subcommand", required=True)
+    chk = _curve_command(sn, "check", cmd_ndim_check, "Hessian sweep + embedded reflections",
+                         "--steps", "--report")
+    chk.add_argument("--n", type=_bounded(int, 3, MAX_N), default=4)
+    chk.add_argument("--grid", type=_bounded(int, 1, MAX_GRID), default=10_000)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; a command with a run report returns it, and main
+    stamps its wall time, writes it to --report and exits 0 if it passed."""
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
     except DomainError as exc:
         raise _fail(str(exc))
+    if not isinstance(result, RunReport):
+        return result
+    result.wall_time_s = time.monotonic() - t0
+    result.dump(args.report)
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

@@ -132,12 +132,32 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     ["spiral", "verify", "--kmax", "5000", "--tol", "inf"],
     ["spiral", "verify", "--kmax", "5000", "--tol", "0"],
     ["spiral", "verify", "--kmax", "5000", "--tol", "-1"],
+    # the seed is a uint64 word of each Philox key
+    ["elliptic", "simulate", "--seed", "-1", "--count", "2"],
+    ["elliptic", "simulate", "--seed", "18446744073709551616", "--count", "2"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_refused_seed_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["elliptic", "simulate", "--seed", "-1", "--count", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: need 0 <= value <= 18446744073709551615" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_largest_seed(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["elliptic", "simulate", "--seed", "18446744073709551615", "--count", "2",
+                 "--out", str(out)]) == 0
+    assert [r["seed"] for r in csv.DictReader(out.read_text().splitlines())] == [
+        "18446744073709551615"] * 2
 
 
 def test_simulate_integer_columns_pinned(tmp_path):
@@ -227,6 +247,24 @@ def test_spiral_verify_matches_per_k_reference(tmp_path, a, kmax, tol, fails):
     assert data["passed"] == (expected is None) == (rc == 0)
 
 
+@pytest.mark.parametrize("a, kmax, k0", [(-1.5707, 5000, 53_885_980),
+                                          (-1.4707963273900495, 51, 51)])
+def test_spiral_verify_refuses_k0_not_below_kmax(capsys, a, kmax, k0):
+    # no k in [k0, kmax) to check: the error names k0, not the tail table
+    with pytest.raises(SystemExit) as exc:
+        main(["spiral", "verify", "--a", repr(a), "--kmax", str(kmax)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: k0 = {k0} for a = {a!r} is not below --kmax {kmax}\n")
+
+
+def test_spiral_verify_runs_from_k0_just_below_kmax(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main(["spiral", "verify", "--a", "-1.4707963273900495", "--kmax", "52",
+                 "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["measured"]["k0"] == 51
+
+
 def test_spiral_verify_rejects_bad_a():
     with pytest.raises(SystemExit) as exc:
         main(["spiral", "verify", "--a", "3.0"])
@@ -312,10 +350,6 @@ def test_ndim_command(tmp_path):
     assert data["passed"] is True
     assert data["checks"]["max_eigenvalue"] < 0.0
     assert data["measured"]["embedded_max_tangential_residual"] < 1e-10
-    timings = data["timings"]
-    assert sorted(timings) == ["build", "embed", "negdef"]
-    assert all(t >= 0.0 for t in timings.values())
-    assert sum(timings.values()) <= data["wall_time_s"]
 
 
 @pytest.mark.parametrize("a, b, digest", [
@@ -399,15 +433,42 @@ def test_block_accounting_equals_the_per_log_methods():
         assert _bits(row) == _bits(expect)
 
 
-def test_simulate_reports_phase_timings(tmp_path):
+@pytest.mark.parametrize("argv, phases", [
+    (["elliptic", "simulate", "--count", "30", "--seed", "7", "--out", "{tmp}/rows.csv"],
+     ["accounting", "output", "trajectories"]),
+    (["spiral", "verify", "--kmax", "5000"], ["checks", "length", "table"]),
+    (["curve", "build", "--kmax", "20000", "--grid", "100", "--out", "{tmp}"],
+     ["build", "checks", "output"]),
+    (["replay", "--kmax", "20000", "--steps", "20"], ["build", "replay"]),
+    (["ndim", "check", "--grid", "500", "--steps", "20", "--kmax", "20000"],
+     ["build", "embed", "negdef"]),
+], ids=["simulate", "verify", "build", "replay", "ndim"])
+def test_reports_phase_timings(tmp_path, argv, phases):
+    # every command that writes a report splits its wall time into phases
     rep = tmp_path / "rep.json"
-    assert main(["elliptic", "simulate", "--count", "30", "--seed", "7",
-                 "--out", str(tmp_path / "rows.csv"), "--report", str(rep)]) == 0
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--report", str(rep)]) == 0
     data = json.loads(rep.read_text())
     timings = data["timings"]
-    assert sorted(timings) == ["accounting", "output", "trajectories"]
+    assert sorted(timings) == phases
     assert all(t >= 0.0 for t in timings.values())
     assert sum(timings.values()) <= data["wall_time_s"]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process, and nothing of one call leaks into the next
+    assert cli.build_parser() is cli.build_parser()
+    first, again, rep = tmp_path / "first.csv", tmp_path / "again.csv", tmp_path / "rep.json"
+    simulate = ["elliptic", "simulate", "--count", "20", "--seed", "5", "--out"]
+    assert main(simulate + [str(first)]) == 0
+    for argv, code in ((["elliptic", "simulate", "--count", "0"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert main(["spiral", "verify", "--kmax", "500", "--tol", "1e-9", "--report", str(rep)]) == 0
+    assert main(simulate + [str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert main(["spiral", "verify", "--kmax", "500", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["config"]["tol"] == 1e-10
 
 
 def test_simulate_smallest_semi_axis(tmp_path):
