@@ -506,3 +506,26 @@ def test_table_outputs_pinned(tmp_path, argv, digest):
     out = tmp_path / "table"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_vertex_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, block):
+    # the pinned vertex tables again, evaluated and written in blocks of 1 and 7
+    monkeypatch.setattr(cli, "VERTEX_BLOCK", block)
+    out = tmp_path / "table"
+    assert main(["spiral", "vertices", "--a", "0", "--kmax", "3000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8e1bce3c2eb10867ac4f944c18380baa7de4e95031324f2f9d1b2f630333fe0e")
+    assert main(["spiral", "vertices", "--a", "0.3", "--kmax", "500", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "10fab84eb1e5283f8985903595115fcdeb5c27c112dcb47cf9eb4d86ea5fee7c")
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "k,x1,x2,x3\n"), ("json", "[]\n")])
+def test_spiral_vertices_empty_table(tmp_path, fmt, text):
+    # k0(-1.5) = 100 lies above kmax: no vertex, as json.dumps([]) or a bare header
+    out = tmp_path / "table"
+    assert main(["spiral", "vertices", "--a", "-1.5", "--kmax", "5", "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert out.read_text() == text
