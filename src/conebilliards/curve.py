@@ -34,15 +34,9 @@ SIGMA_DOMAIN = math.pi / 4.0
 # ---------------------------------------------------------------------------
 
 def _h_derivs(z):
-    """(h, h', h'') of h(z) = exp(-1/z), zero for z <= 0, from one exp."""
-    h, hp, hpp = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
-    m = z > 0.0
-    zm = z[m]
-    e = np.exp(-1.0 / zm)
-    h[m] = e
-    hp[m] = e / zm**2
-    hpp[m] = e * (1.0 / zm**4 - 2.0 / zm**3)
-    return h, hp, hpp
+    """(h, h', h'') of h(z) = exp(-1/z) for an array of z > 0, from one exp."""
+    e = np.exp(-1.0 / z)
+    return e, e / z**2, e * (1.0 / z**4 - 2.0 / z**3)
 
 
 def _bump_interior(h, hb, hp, hbp, hpp, hbpp):
@@ -81,13 +75,14 @@ def bump(t):
     """
     if isinstance(t, float) or np.ndim(t) == 0:
         return _bump_scalar(float(t))
-    s = np.clip(3.0 * np.asarray(t, dtype=float) - 1.0, 0.0, 1.0)
-    (h, hp, hpp), (hb, hbp, hbpp) = _h_derivs(s), _h_derivs(1.0 - s)
-    a, ap, app = _bump_interior(h, hb, hp, hbp, hpp, hbpp)
-    interior = (s > 0.0) & (s < 1.0)
-    a = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, a))
-    ap = np.where(interior, ap, 0.0)
-    app = np.where(interior, app, 0.0)
+    s = np.minimum(np.maximum(3.0 * np.asarray(t, dtype=float) - 1.0, 0.0), 1.0)
+    a = 1.0 - s  # exactly 1.0 and 0.0 on the clamped plateaus
+    ap, app = np.zeros(s.shape), np.zeros(s.shape)
+    mid = (s > 0.0) & (s < 1.0)  # only the open middle third needs exp
+    if np.count_nonzero(mid):
+        s = s[mid]
+        (h, hp, hpp), (hb, hbp, hbpp) = _h_derivs(s), _h_derivs(1.0 - s)
+        a[mid], ap[mid], app[mid] = _bump_interior(h, hb, hp, hbp, hpp, hbpp)
     return a, ap, app
 
 
@@ -119,14 +114,16 @@ def _circle_dev(x, s, m=np):
     ``math`` for floats.
     """
     sh = m.sin(s / 2.0)
+    cx, sx, ss = m.cos(x), m.sin(x), m.sin(s)
     one_minus_cos = 2.0 * sh * sh
-    u = m.cos(x) * one_minus_cos - m.sin(x) * m.sin(s)
+    u = cx * one_minus_cos - sx * ss
     two_cos_m1 = 1.0 - 2.0 * one_minus_cos
-    rad = u * u + two_cos_m1
+    uu = u * u
+    rad = uu + two_cos_m1
     root = m.sqrt(rad)
     g = u + root
-    dev = u + (u * u - 4.0 * sh * sh) / (root + 1.0)
-    ux = -m.sin(x) * one_minus_cos - m.cos(x) * m.sin(s)
+    dev = u + (uu - 4.0 * sh * sh) / (root + 1.0)
+    ux = -sx * one_minus_cos - cx * ss
     gx = ux * g / root
     gxx = -u * g / root + ux * ux * two_cos_m1 / rad / root
     return dev, gx, gxx
@@ -209,8 +206,10 @@ class PolarCurve:
     def deviation(self, xi_val):
         """(rho - 1, rho', rho''), full precision in the tail.
 
-        A scalar xi is evaluated with the math module and gives floats; an
-        array takes the vectorized path, the scalar one's test oracle.
+        A scalar xi is evaluated with the math module and gives floats.  An
+        array is evaluated elementwise with numpy; when every point is live
+        (0 < xi <= _xi_live, as on every window sample) it is neither masked
+        nor scattered.
         """
         if isinstance(xi_val, float) or np.ndim(xi_val) == 0:
             x = float(xi_val)
@@ -222,22 +221,28 @@ class PolarCurve:
             k = int(1.0 / xx)
             return _window_dev(x, float(k), self._sig.item(k), self._sig.item(k + 1), math)
         x = np.asarray(xi_val, dtype=float)
-        d = np.zeros_like(x)
-        d1 = np.zeros_like(x)
-        d2 = np.zeros_like(x)
-        m = (x > 0.0) & (x <= self._xi_live)
-        if m.any():
-            xm = x[m]
-            # x * x underflows to 0 for x below ~1e-162: deep either way
-            with np.errstate(over="ignore", divide="ignore"):
-                inv = 1.0 / (xm * xm)
-            deep = inv > self.kmax  # beyond horizon: |rho-1| < 1e-19
-            k = np.where(deep, float(self.kmax), np.floor(inv)).astype(np.int64)
-            dev, dev1, dev2 = _window_dev(xm, k.astype(float), self._sig[k], self._sig[k + 1], np)
-            d[m] = np.where(deep, 0.0, dev)
-            d1[m] = np.where(deep, 0.0, dev1)
-            d2[m] = np.where(deep, 0.0, dev2)
-        return d, d1, d2
+        live = (x > 0.0) & (x <= self._xi_live)
+        n_live = np.count_nonzero(live)
+        if n_live == x.size:
+            return self._live_deviation(x)
+        out = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+        if n_live:
+            for o, v in zip(out, self._live_deviation(x[live])):
+                o[live] = v
+        return out
+
+    def _live_deviation(self, x):
+        """deviation of an array of xi in (0, _xi_live]."""
+        # x * x underflows to 0 for x below ~1e-162: deep either way
+        with np.errstate(over="ignore", divide="ignore"):
+            inv = 1.0 / (x * x)
+        deep = inv > self.kmax  # beyond horizon: |rho-1| < 1e-19
+        kf = np.where(deep, float(self.kmax), np.floor(inv))
+        k = kf.astype(np.int64)
+        vals = _window_dev(x, kf, self._sig[k], self._sig[k + 1], np)
+        if np.count_nonzero(deep):
+            vals = tuple(np.where(deep, 0.0, v) for v in vals)
+        return vals
 
     def polar(self, xi_val):
         """(rho, rho', rho''); the section interface used by GeneralCone."""
@@ -247,10 +252,8 @@ class PolarCurve:
     def curvature(self, xi_val):
         """Polar curvature |rho^2 + 2 rho'^2 - rho rho''| / (rho^2 + rho'^2)^(3/2)."""
         r, r1, r2 = self.polar(xi_val)
-        r = np.asarray(r, dtype=float)
-        r1 = np.asarray(r1, dtype=float)
-        r2 = np.asarray(r2, dtype=float)
-        out = np.abs(r * r + 2.0 * r1 * r1 - r * r2) / np.power(r * r + r1 * r1, 1.5)
+        rr = r * r
+        out = np.abs(rr + 2.0 * r1 * r1 - r * r2) / np.power(rr + r1 * r1, 1.5)
         return float(out) if out.ndim == 0 else out
 
     # -- structure accessors ----------------------------------------------------
@@ -271,6 +274,8 @@ class PolarCurve:
     def window_samples(self, k, count: int) -> np.ndarray:
         """``count`` equispaced points of the window [xi_{k+1}, xi_k]; for an
         int array k, one row per window, each equal to its one-window call."""
+        if np.ndim(k) == 0:
+            return np.linspace(float(spiral.xi(k + 1)), float(spiral.xi(k)), count)
         return np.linspace(spiral.xi(np.asarray(k) + 1), spiral.xi(k), count, axis=-1)
 
 

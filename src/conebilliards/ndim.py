@@ -19,7 +19,6 @@ from .errors import ConvexityFailure, DomainError
 from .spiral import SpiralTrajectory
 from . import spiral
 
-INV_TOL = 1e-15           # bisection tolerance for inverting x2(xi)
 # Second-difference rounding noise is ~4 eps/h^2: 1e-5 would floor at 9e-6,
 # 1e-4 keeps the cross-check honestly below 1e-6.
 FD_STEP = 1e-4
@@ -47,7 +46,9 @@ class LiftedSection:
     # -- planar profile ---------------------------------------------------------
     def _xi_from_x2(self, x2):
         """Invert x2 = rho(xi) sin(xi) by bisection (vectorized), once per
-        distinct x2: the bisection is elementwise, so repeats share its result."""
+        distinct x2: the bisection is elementwise, so repeats share its result.
+        There is no tolerance test: it always makes 60 halvings of
+        (-pi/2, pi/2), which leave a bracket under 3e-18 wide."""
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         if np.any(np.abs(x2) >= 1.0):
             raise DomainError("x2 must lie in (-1, 1)")

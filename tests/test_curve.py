@@ -12,7 +12,6 @@ from conebilliards.curve import (
     ArcPatch,
     PolarCurve,
     _h_derivs,
-    _window_dev,
     bump,
     bump_constant,
     build_curve,
@@ -23,6 +22,8 @@ from conebilliards.curve import (
 )
 from conebilliards.geometry import GeneralCone, cone_step_precise
 from conebilliards.spiral import SpiralParams, SpiralTrajectory, normal_w
+
+import curve_array_reference as reference
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +48,13 @@ def test_bump_monotone_and_smooth():
 
 
 def test_h_derivs_match_one_exp_per_term(rng):
-    # h, h' and h'' as three exp calls, the form bump was first written in
-    z = np.concatenate([rng.uniform(-0.2, 1.2, 20_000), [0.0, 1e-3, 0.5, 1.0]])
-    m = z > 0.0
-    want = [np.zeros_like(z) for _ in range(3)]
-    want[0][m] = np.exp(-1.0 / z[m])
-    want[1][m] = np.exp(-1.0 / z[m]) / z[m] ** 2
-    want[2][m] = np.exp(-1.0 / z[m]) * (1.0 / z[m] ** 4 - 2.0 / z[m] ** 3)
+    # h, h' and h'' as three exp calls, the form bump was first written in;
+    # bump calls _h_derivs on the open middle third only, where z = s or
+    # 1 - s is at least an ulp of 1
+    z = np.concatenate([rng.uniform(0.0, 1.2, 20_000), [1.1e-16, 1e-3, 0.5, 1.0]])
+    z = z[z > 0.0]
+    want = [np.exp(-1.0 / z), np.exp(-1.0 / z) / z ** 2,
+            np.exp(-1.0 / z) * (1.0 / z ** 4 - 2.0 / z ** 3)]
     for got, expected in zip(_h_derivs(z), want):
         assert np.array_equal(got, expected)
 
@@ -327,27 +328,17 @@ def test_scalar_deviation_matches_array_path(built_curve):
 
 
 def _deviation_everywhere(curve, x):
-    """Reference: the array deviation with _window_dev run on every xi in
-    (0, 1], flat windows below k1 included."""
-    out = [np.zeros_like(x) for _ in range(3)]
-    m = (x > 0.0) & (x <= 1.0)
-    xm = x[m]
-    with np.errstate(over="ignore", divide="ignore"):
-        inv = 1.0 / (xm * xm)
-    deep = inv > curve.kmax
-    k = np.where(deep, float(curve.kmax), np.floor(inv)).astype(np.int64)
-    vals = _window_dev(xm, k.astype(float), curve._sig[k], curve._sig[k + 1], np)
-    for o, v in zip(out, vals):
-        o[m] = np.where(deep, 0.0, v)
-    return out
+    """Reference: the frozen array deviation with _window_dev run on every
+    xi in (0, 1], flat windows below k1 included."""
+    return reference.deviation(curve, x, xi_live=1.0)
 
 
 def _scalar_everywhere(curve, x):
-    """Reference for one float: _window_dev on every xi in (0, 1]."""
+    """Reference for one float: the frozen _window_dev on every xi in (0, 1]."""
     if not 0.0 < x <= 1.0 or x * x == 0.0 or 1.0 / (x * x) > curve.kmax:
         return 0.0, 0.0, 0.0
     k = int(1.0 / (x * x))
-    return _window_dev(x, float(k), curve._sig.item(k), curve._sig.item(k + 1), math)
+    return reference._window_dev(x, float(k), curve._sig.item(k), curve._sig.item(k + 1), math)
 
 
 def _bits_equal(got, want):
