@@ -12,7 +12,6 @@ from .errors import (
     Termination,
 )
 from .geometry import (
-    CircularSection,
     GeneralCone,
     OrientedLine,
     alpha_theta_residuals,

@@ -150,7 +150,11 @@ def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
 
 
 def cmd_elliptic_simulate(args) -> RunReport:
+    """Trajectory i is run_random on the Philox stream of key (seed, i) at
+    counter 0: one Philox, re-keyed to the state a fresh one starts in."""
     cone = elliptic.EllipticCone(args.semi_a, args.semi_b)
+    bitgen = np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bitgen), bitgen.state  # counter 0, empty buffer
     timings = dict.fromkeys(("trajectories", "accounting", "output"), 0.0)
     terminations = dict.fromkeys(Termination, 0)
     violations = bad_sum = 0
@@ -162,8 +166,8 @@ def cmd_elliptic_simulate(args) -> RunReport:
             t1 = time.monotonic()
             logs = []
             for index in range(first, min(first + SIMULATE_BLOCK, args.count)):
-                rng = np.random.Generator(np.random.Philox(
-                    key=np.array([args.seed, index], dtype=np.uint64)))
+                fresh["state"]["key"][1] = index
+                bitgen.state = fresh
                 logs.append(elliptic.run_random(cone, rng))
                 terminations[logs[-1].termination] += 1
             t2 = time.monotonic()

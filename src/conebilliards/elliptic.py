@@ -361,24 +361,29 @@ def caustic_tangency_residual(
 
 def sample_start(cone: EllipticCone, rng: np.random.Generator) -> OrientedLine:
     """Surface start: base on the section ellipse scaled by t ~ U[0.5, 2],
-    direction uniform on the inward hemisphere."""
+    direction uniform on the inward hemisphere.  It draws two scalar
+    uniforms, then normal(size=3) until a direction is accepted, so the start
+    depends on the stream alone: a Philox keyed (seed, i) at counter 0 gives
+    the same start whether it is new or re-keyed.  The line's check on
+    Python floats is the only check of its base and direction."""
     phi = rng.uniform(0.0, 2.0 * math.pi)
     t = rng.uniform(0.5, 2.0)
     base = cone.surface_point(phi, t)
     n_in = cone.inward_normal(base)
     while True:
         v = rng.normal(size=3)
-        norm = math.sqrt(np.dot(v, v))  # np.linalg.norm's bits
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's bits
         if norm < 1e-12:
             continue
         v = v / norm
-        if float(np.dot(v, n_in)) > 1e-6:
+        if v.dot(n_in) > 1e-6:
             return OrientedLine(base, v)
 
 
 def run_random(cone: EllipticCone, rng: np.random.Generator) -> TrajectoryLog:
     """Sample a start and run it; trajectories with c2 > 0 are capped just
-    above their own reflection bound, others at FALLBACK_STEPS."""
+    above their own reflection bound, others at FALLBACK_STEPS.  The run
+    steps from the start's checked base and dir arrays as they are."""
     line0 = sample_start(cone, rng)
     pair = integral_pair(cone, line0)
     if pair.I2 > 0.0:

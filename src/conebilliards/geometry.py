@@ -35,13 +35,12 @@ def near_apex(hit_norm: float, base_norm: float) -> bool:
     return hit_norm < APEX_TOL * max(1.0, base_norm)
 
 
-def _vec(x, stack: bool = False) -> np.ndarray:
-    """A finite vector of dimension >= 2; with ``stack``, also an (n, d)
-    array of them, one per row."""
+def _vec(x) -> np.ndarray:
+    """A finite vector of dimension >= 2, or an (n, d) array of them, one per row."""
     v = np.asarray(x, dtype=float)
-    if v.ndim not in ((1, 2) if stack else (1,)) or v.shape[-1] < 2:
-        kind = "a vector or an (n, d) stack" if stack else "a 1-d vector"
-        raise DomainError(f"expected {kind} of dimension >= 2, got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise DomainError(f"expected a vector or an (n, d) stack of dimension >= 2, "
+                          f"got shape {v.shape}")
     if not np.isfinite(v).all():
         raise DomainError("vector has non-finite coordinates")
     return v
@@ -64,7 +63,7 @@ def _atan2(y, x):
 
 def unit(x) -> np.ndarray:
     """Normalize to Euclidean length 1; an (n, d) stack row by row."""
-    v = _vec(x, stack=True)
+    v = _vec(x)
     with np.errstate(over="ignore"):
         n = np.sqrt(_dots(v, v))[..., None]
     if not ((n >= 1e-300) & (n < math.inf)).all():
@@ -97,11 +96,12 @@ class OrientedLine:
     dir: np.ndarray
 
     def __post_init__(self):
-        base = _vec(self.base)
-        d = _vec(self.dir)
-        if base.shape != d.shape:
-            raise DomainError("base and dir must have the same dimension")
-        check_unit(d)
+        base, d = np.asarray(self.base, dtype=float), np.asarray(self.dir, dtype=float)
+        if (base.ndim != 1 or base.shape != d.shape or base.size < 2
+                or not all(map(math.isfinite, base.tolist()))):  # on Python floats
+            raise DomainError(f"need a finite base and a dir of one dimension >= 2, "
+                              f"got shapes {base.shape} and {d.shape}")
+        check_unit(d)  # which refuses a non-finite dir
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dir", d)
 
@@ -164,8 +164,8 @@ def reflect_direction(v, normal) -> np.ndarray:
 def angle_between(u, w):
     """Angle in [0, pi] between two unit vectors, accurate near 0 and pi;
     for (n, d) stacks, the array of the n row-by-row angles."""
-    u = _vec(u, stack=True)
-    w = _vec(w, stack=True)
+    u = _vec(u)
+    w = _vec(w)
     if u.shape[-1] == 3:
         c = np.cross(u, w)
         return _atan2(np.sqrt(_dots(c, c)), _dots(u, w))
@@ -192,7 +192,7 @@ def simulate_wedge(theta: float, base, direction) -> int:
         raise DomainError("wedge angle must lie in (0, pi)")
     p = _vec(base)
     v = unit(direction)
-    if p.size != 2:
+    if p.shape != (2,):
         raise DomainError("wedge simulation is planar")
     walls = [
         (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
@@ -256,27 +256,6 @@ def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
 # ---------------------------------------------------------------------------
 # Cones over a polar section curve in the plane x3 = 1
 # ---------------------------------------------------------------------------
-
-class CircularSection:
-    """rho == const section; the circular cone x3 = |x_perp|/radius."""
-
-    def __init__(self, radius: float = 1.0):
-        if radius <= 0.0:
-            raise DomainError("section radius must be positive")
-        self.radius = float(radius)
-
-    def polar(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.full_like(xi, self.radius)
-        z = np.zeros_like(xi)
-        return r, z, z
-
-    def deviation(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        d = np.full_like(xi, self.radius - 1.0)
-        z = np.zeros_like(xi)
-        return d, z, z
-
 
 # Compensated (double-double) scalars for the ray/surface gap.  The gap
 # x^2 + y^2 - z^2 rho^2 cancels to ~eps * |p|^2 in plain float64, which

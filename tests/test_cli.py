@@ -160,6 +160,24 @@ def test_simulate_largest_seed(tmp_path):
         "18446744073709551615"] * 2
 
 
+def test_simulate_rekeys_across_a_block_at_the_largest_seed(tmp_path):
+    # row 1024 opens the second block of SIMULATE_BLOCK trajectories on the
+    # re-keyed Philox: the shorter batch is a byte prefix of the longer one,
+    # and the row is the one a fresh Generator(Philox(key=[seed, 1024])) gives
+    assert cli.SIMULATE_BLOCK == 1024
+    seed = 2**64 - 1
+    short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+    args = ["elliptic", "simulate", "--seed", str(seed)]
+    assert main(args + ["--count", "1025", "--out", str(short)]) == 0
+    assert main(args + ["--count", "1030", "--out", str(long)]) == 0
+    assert long.read_bytes().startswith(short.read_bytes())
+    cone = EllipticCone(2.0, 1.0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1024], dtype=np.uint64)))
+    row = cli._simulate_rows(cone, seed, 1024, [elliptic.run_random(cone, rng)])[0]
+    line = ",".join(cli.SIMULATE_COLUMNS.values()) % row
+    assert short.read_text().splitlines()[-1] == long.read_text().splitlines()[1025] == line
+
+
 def test_simulate_integer_columns_pinned(tmp_path):
     # index, seed, reflections and bound of a fixed batch, as first recorded
     out = tmp_path / "rows.csv"

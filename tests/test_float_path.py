@@ -160,6 +160,36 @@ def test_sample_start_matches_numpy_reference(a, b):
         assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()  # as many draws taken
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rekeyed_philox_draws_the_fresh_stream(seed):
+    # one Philox re-keyed as elliptic simulate does it, to key (seed, index)
+    # at counter 0, reused across SIMULATE_BLOCK = 1024: the same starts, logs
+    # and number of draws as a fresh Generator(Philox(key=[seed, index]))
+    cone = EllipticCone(2.0, 1.0)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
+
+    def rekeyed(index):
+        fresh["state"]["key"][1] = index
+        bitgen.state = fresh
+        return rng
+
+    def new(index):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+    for index in (0, 1, 1023, 1024, 1025):
+        line, ref_rng = sample_start(cone, rekeyed(index)), new(index)
+        base, v = ref_sample_start(cone, ref_rng)
+        assert line.base.tobytes() == base.tobytes() and line.dir.tobytes() == v.tobytes()
+        assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
+        log, ref_rng = elliptic.run_random(cone, rekeyed(index)), new(index)
+        ref = elliptic.run_random(cone, ref_rng)
+        assert log.bases.tobytes() == ref.bases.tobytes()
+        assert log.dirs.tobytes() == ref.dirs.tobytes()
+        assert (log.termination, log.started_on_surface) == (ref.termination, True)
+        assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
+
+
 def test_run_matches_reference_run():
     # whole trajectories, long ones included, step for step
     cone = EllipticCone(2.0, 1.0)

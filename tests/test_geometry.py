@@ -12,7 +12,6 @@ from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     APEX_TOL,
     T_MIN_FACTOR,
-    CircularSection,
     GeneralCone,
     OrientedLine,
     alpha_theta_residuals,
@@ -188,6 +187,21 @@ def test_non_unit_direction_rejected():
         OrientedLine([0.0, 0.0, 1.0], [1.0, 0.0, 1e-4])
 
 
+@pytest.mark.parametrize("base, direction", [
+    ([0.0, math.inf, 1.0], [1.0, 0.0, 0.0]),        # non-finite base
+    ([math.nan, 0.0, 1.0], [1.0, 0.0, 0.0]),
+    ([0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]),        # NaN direction
+    ([0.0, 0.0, 1.0], [0.0, -math.inf, 0.0]),       # infinite direction
+    ([0.0, 0.0, 1.0], [1.0, 0.0]),                  # shapes differ
+    ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8, 0.0]),
+    ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]),         # 2-d base
+    ([1.0], [1.0]),                                 # 1-element vectors
+])
+def test_oriented_line_refusals(base, direction):
+    with pytest.raises(DomainError):
+        OrientedLine(base, direction)
+
+
 # ---------------------------------------------------------------------------
 # angles
 # ---------------------------------------------------------------------------
@@ -329,9 +343,22 @@ def test_unit_rejects_overflowing_squared_norm():
 # circular cone stepping
 # ---------------------------------------------------------------------------
 
+class CircularSection:
+    """The unit circle as a section: the circular cone x3 = |x_perp|."""
+
+    def polar(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        z = np.zeros_like(xi)
+        return np.ones_like(xi), z, z
+
+    def deviation(self, xi):
+        z = np.zeros_like(np.asarray(xi, dtype=float))
+        return z, z, z
+
+
 @pytest.fixture(scope="module")
 def circular_cone():
-    return GeneralCone(CircularSection(1.0))
+    return GeneralCone(CircularSection())
 
 
 def _step(cone, line):
