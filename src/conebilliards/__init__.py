@@ -56,7 +56,6 @@ from .spiral import (
     xi,
 )
 from .curve import (
-    ArcPatch,
     PolarCurve,
     bump,
     build_curve,

@@ -141,25 +141,6 @@ def circle_polar(xi_val, sigma_val):
     return 1.0 + dev, gx, gxx
 
 
-@dataclass(frozen=True)
-class ArcPatch:
-    """Arc rho_k(xi) = g(xi - xi_k, sigma_k) on [xi_{k+1}, xi_{k-1}]."""
-
-    k: int
-    sigma: float
-
-    @property
-    def domain(self):
-        return (float(spiral.xi(self.k + 1)), float(spiral.xi(self.k - 1)))
-
-    def polar(self, xi_val):
-        lo, hi = self.domain
-        x = np.asarray(xi_val, dtype=float)
-        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-            raise DomainError(f"xi outside arc domain [{lo}, {hi}]")
-        return circle_polar(x - float(spiral.xi(self.k)), self.sigma)
-
-
 # ---------------------------------------------------------------------------
 # the blended curve
 # ---------------------------------------------------------------------------
@@ -257,11 +238,6 @@ class PolarCurve:
         return float(out) if out.ndim == 0 else out
 
     # -- structure accessors ----------------------------------------------------
-    def arc(self, k: int) -> ArcPatch:
-        if not (1 <= k <= self.kmax):
-            raise DomainError("arc index outside the table")
-        return ArcPatch(k=k, sigma=float(self._sig[k]))
-
     def inward_normal(self, xi_val) -> np.ndarray:
         """Unit inward normal of the curve (rotate the tangent by +pi/2)."""
         r, r1, _ = self.polar(xi_val)

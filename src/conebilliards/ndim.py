@@ -23,6 +23,7 @@ from . import spiral
 # 1e-4 keeps the cross-check honestly below 1e-6.
 FD_STEP = 1e-4
 BOUNDARY_MARGIN = 1e-3    # negdef_check samples the disk of radius 1 - this
+NEWTON_ROUNDS = 60        # cap on the rounds of the profile inversion
 
 
 class LiftedSection:
@@ -45,23 +46,43 @@ class LiftedSection:
 
     # -- planar profile ---------------------------------------------------------
     def _xi_from_x2(self, x2):
-        """Invert x2 = rho(xi) sin(xi) by bisection (vectorized), once per
-        distinct x2: the bisection is elementwise, so repeats share its result.
-        There is no tolerance test: it always makes 60 halvings of
-        (-pi/2, pi/2), which leave a bracket under 3e-18 wide."""
+        """Invert x2 = rho(xi) sin(xi) once per distinct x2 by Newton steps
+        from arcsin(x2), the root wherever rho == 1.  One deviation call
+        gives the residual (sin xi - x2) + (rho - 1) sin xi and the slope
+        rho' sin xi + rho cos xi.  Each residual's sign tightens a bracket,
+        first (-pi/2, pi/2); a step not landing strictly inside it becomes
+        the midpoint.  A value stops once its step or its bracket is at most
+        4 ulp (the bracket where residual noise outweighs a flat slope), or
+        after NEWTON_ROUNDS rounds.  Only moving values are evaluated, so no
+        result depends on its batch.  On the default curve all stop within
+        2 rounds."""
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        if np.any(np.abs(x2) >= 1.0):
+        if not np.all(np.abs(x2) < 1.0):
             raise DomainError("x2 must lie in (-1, 1)")
         x2, back = np.unique(x2, return_inverse=True)
+        x = np.arcsin(x2)
+        xi, todo, t = x.copy(), np.arange(x2.size), x2
         lo = np.full_like(x2, -math.pi / 2.0 + 1e-12)
-        hi = np.full_like(x2, math.pi / 2.0 - 1e-12)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            val = self.curve.polar(mid)[0] * np.sin(mid)
-            high = val > x2
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        return (0.5 * (lo + hi))[back]
+        hi = -lo
+        for _ in range(NEWTON_ROUNDS):
+            d, d1, _ = self.curve.deviation(x)
+            s = np.sin(x)
+            res = (s - t) + d * s
+            step = res / (d1 * s + (1.0 + d) * np.cos(x))
+            high = res > 0.0
+            hi = np.where(high, x, hi)
+            lo = np.where(high, lo, x)
+            new = x - step
+            tol = 4.0 * np.spacing(np.abs(x))
+            near = np.abs(step) <= tol
+            new = np.where(near | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
+            done = near | (hi - lo <= tol)
+            xi[todo] = new
+            if done.all():
+                break
+            go = ~done
+            todo, x, t, lo, hi = todo[go], new[go], t[go], lo[go], hi[go]
+        return xi[back]
 
     def f1(self, x2):
         """(f1, f1', f1'') at x2, by the chain rule through xi."""
@@ -91,11 +112,11 @@ class LiftedSection:
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.n - 2:
             raise DomainError(f"expected shape (N, {self.n - 2})")
-        if np.any(np.einsum("ij,ij->i", Y, Y) >= 1.0):
+        if not np.all(np.einsum("ij,ij->i", Y, Y) < 1.0):
             raise DomainError("a point lies outside the open unit disk")
         f, fp, fpp = self.f1(Y[:, 0])
         rad = f * f - np.einsum("ij,ij->i", Y[:, 1:], Y[:, 1:])
-        if np.any(rad <= 0.0):
+        if not np.all(rad > 0.0):
             raise DomainError("negative radicand: point outside the lifted section")
         return Y, (f, fp, fpp), np.sqrt(rad)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from conebilliards.errors import (
 )
 from conebilliards import geometry, spiral
 from conebilliards.curve import (
-    ArcPatch,
     PolarCurve,
     _h_derivs,
     bump,
@@ -115,6 +115,21 @@ def test_circle_polar_slope_bound():
     assert worst < 6.0  # measured e ~ 3.6
 
 
+@dataclass(frozen=True)
+class ArcPatch:
+    """Arc rho_k(xi) = g(xi - xi_k, sigma_k) on [xi_{k+1}, xi_{k-1}]."""
+
+    k: int
+    sigma: float
+
+    def polar(self, xi_val):
+        lo, hi = float(spiral.xi(self.k + 1)), float(spiral.xi(self.k - 1))
+        x = np.asarray(xi_val, dtype=float)
+        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+            raise DomainError(f"xi outside arc domain [{lo}, {hi}]")
+        return circle_polar(x - float(spiral.xi(self.k)), self.sigma)
+
+
 def test_arc_patch():
     patch = ArcPatch(k=100, sigma=1e-4)
     xi_k = float(spiral.xi(100))
@@ -161,7 +176,7 @@ def test_curve_pure_arc_plateau(built_curve):
         dhi = float(spiral.delta(k - 1))
         xs = np.linspace(xi_k - dlo / 3.0 + 1e-12, xi_k + dhi / 3.0 - 1e-12, 25)
         r, r1, r2 = built_curve.polar(xs)
-        arc = built_curve.arc(k)
+        arc = ArcPatch(k=k, sigma=float(built_curve._sig[k]))
         g, gx, gxx = arc.polar(xs)
         assert np.abs(r - g).max() < 1e-15
         assert np.abs(r1 - gx).max() < 1e-15

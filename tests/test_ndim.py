@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import asdict
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,10 +11,13 @@ from conebilliards import curve as curve_module
 from conebilliards.errors import DomainError
 from conebilliards.ndim import (
     LiftedSection,
+    _disk_grid,
     embed3,
     embedded_reflection_check,
     negdef_check,
 )
+
+import ndim_bisection_reference as bisection
 
 @pytest.fixture(scope="module")
 def section4(built_curve):
@@ -49,6 +53,21 @@ def test_F1_domain_errors(section4):
         section4.F1(np.array([0.8, 0.7]))  # outside the unit disk
     with pytest.raises(DomainError):
         section4.F1(np.array([1.2, 0.0]))
+
+
+def test_f1_refuses_nan(section4):
+    with pytest.raises(DomainError):
+        section4.f1(math.nan)
+
+
+def test_F1_batch_refuses_nan(section4):
+    with pytest.raises(DomainError):
+        section4.F1_batch(np.array([[0.1, math.nan]]))
+
+
+def test_hessian_refuses_nan(section4):
+    with pytest.raises(DomainError):
+        section4.hessian(np.array([0.1, math.nan]))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -142,21 +161,21 @@ def test_negdef_report(section4):
     assert d["window_f1_range"] == list(rep.window_f1_range)
 
 
-# every NegdefReport field as reported before the distinct-x2 inversion and
-# the flat-window skip: sha256 of the sorted-key JSON
+# every NegdefReport field with the Newton inversion of the profile: sha256
+# of the sorted-key JSON
 NEGDEF_PINS = {
-    (3, 300): "149d58e6041749f601fda23e5e7ca227c9afb90a3b7544bc492912f4180cf289",
-    (3, 5000): "45706e6884ec2bab7edcc16a4b4e576a404486585e52373534ace1f01d96e3ef",
-    (3, 10_000): "b3acf62213a8f5ab3fc23213b77405d888d0a34ddee6976fbaa540e617a43968",
-    (4, 300): "29b018d7fa1783df14597e80b85ae58ba1662e4cb8ccaf9f5e996144034aa983",
-    (4, 5000): "c128983d2e52fa34bd90f6522feefc140e161390b96d07b1f87ccb60adc6fd14",
-    (4, 10_000): "7cacaf4a379c19b8ee5b3635e5d271d16accd03e8ce46c40bbf82c1ae075667e",
-    (5, 300): "86a931285f3dd113338d0a1fa60e463975285d6130bec5c24584325871be55fc",
-    (5, 5000): "3998234b74ad6c6c4a099e1a2ca91470fda0d5a2aae559e07504f210e15737bd",
-    (5, 10_000): "3797994e705772d9cda78926cc88573ffbdb7eaea8e609229965e3d2e08a8cce",
-    (6, 300): "766213abc8b358de5f13b670a597e279a43cc4b80cbda0996e3c696d13a8ac29",
-    (6, 5000): "e3406eb7583eaf6cbfbaba5a7f973444910d30c4a32d332885e7f42f9f27d26f",
-    (6, 10_000): "241e5d16056087def392b35c5427d8ec0b58fb200b7c81990a92814a3070d036",
+    (3, 300): "883b7f664c86054884e118422f4a68ab0e08d40a54f1772e63b5023a7073827f",
+    (3, 5000): "291987783e3b1db4d51063033cf578ebd4a3a185f6ed8c937f4fc1955c410d94",
+    (3, 10_000): "1d90e13cc0229b1d2e816116f0aec778a4e236716f45cfbaae02b517a8bed6ed",
+    (4, 300): "5f78837552256ef10fc1cc4191d88cc780ae31c9109db67189a56ffcf857fe53",
+    (4, 5000): "65b8c7666cc8f327545f5acc77c05b3afbf5fa3a87b1c75aacae480108e63638",
+    (4, 10_000): "a49ddebfe4072b28fcdadebffabdeb502c84cca9bb897eb8bf45ad60ce8af91e",
+    (5, 300): "c3cb358ed6d511ab7bdc2961a7a643958f69363199c6830c3f4c6ec800c69f6b",
+    (5, 5000): "94021b5dedf6cbe53849d28b9974760ceefc09ca144541ff8f24a7b1269e5d0d",
+    (5, 10_000): "704249f5a3f587416f79a3b5f01e233d77cc7527da1ad94f4b6abd683a150b2f",
+    (6, 300): "9fe0c9ccff35988f6d71395dceca498c4aea35e35f6249171918adc585be53aa",
+    (6, 5000): "30ecff90cd6bd2cc6c44e949c0c77927daf0262ad684f1252bdd9f626febdb9a",
+    (6, 10_000): "ec84f7fc83035530dad8d45e849b7dba51317fb4dd179fe44ae25cf4e839f2a0",
 }
 
 
@@ -168,9 +187,10 @@ def test_negdef_report_pinned(built_curve, n, grid):
 
 
 def test_negdef_evaluates_few_windows(section4, monkeypatch):
-    # the grid shares each x2 along a lattice row, and the bisection's
-    # midpoints mostly land on flat windows: 287 628 points reached
-    # _window_dev before the inversion ran once per distinct x2
+    # the grid shares each x2 along a lattice row, and after the first
+    # Newton round only the live x2 still moving are evaluated: 287 628
+    # points reached _window_dev before the inversion ran once per distinct
+    # x2, 15 103 under 60 bisection rounds, 1 250 now
     real = curve_module._window_dev
     points = []
 
@@ -180,7 +200,122 @@ def test_negdef_evaluates_few_windows(section4, monkeypatch):
 
     monkeypatch.setattr(curve_module, "_window_dev", counting)
     negdef_check(section4, grid_target=5000, strict=True)
-    assert 0 < sum(points) < 30_000
+    assert 0 < sum(points) < 1_500
+
+
+@pytest.mark.parametrize("n, grid", sorted(NEGDEF_PINS))
+def test_negdef_verdicts_match_bisection_route(built_curve, monkeypatch, n, grid):
+    section = LiftedSection(built_curve, n=n)
+    new = negdef_check(section, grid_target=grid, strict=False)
+    monkeypatch.setattr(section, "_xi_from_x2", lambda x2: bisection.xi_from_x2(built_curve, x2))
+    old = negdef_check(section, grid_target=grid, strict=False)
+
+    def verdict(rep):
+        signs = np.sign([rep.max_eigenvalue, rep.margin, rep.scalar_max,
+                         *rep.window_f1p_range, *rep.window_f1_range])
+        passed = not rep.failures and rep.max_eigenvalue < 0.0
+        return passed, rep.failures, rep.grid_size, signs.tolist()
+
+    assert verdict(new) == verdict(old)
+
+
+def _inverted_x2():
+    """The distinct x2 that criterion 9 inverts: its scalar grid and the
+    lattice rows for n = 4 and 5."""
+    xs = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 4001)
+    rows = [_disk_grid(m, grid)[:, 0] for m in (2, 3) for grid in (5000, 10_000)]
+    return np.unique(np.concatenate([xs, *rows]))
+
+
+def test_f1_makes_few_curve_calls(section4, built_curve, monkeypatch, rng):
+    # at most 3 inversion rounds plus the call at the roots: no x2 comes
+    # near the 60-round cap (2 rounds at most on these inputs)
+    real = built_curve.deviation
+    calls = []
+
+    def counting(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(built_curve, "deviation", counting)
+    for x2 in (_inverted_x2(), rng.uniform(-1.0, 1.0, 1000), rng.uniform(0.0, 0.34, 1000)):
+        calls.clear()
+        section4.f1(x2)
+        assert len(calls) <= 4
+
+
+class _SteepProfile:
+    """Stand-in curve with rho = 1 + 2 exp(-(xi/0.05)^2): x2(xi) still rises
+    on (-pi/2, pi/2), but its slope falls to about 0.1 near xi = 0.06, where
+    unguarded Newton steps from arcsin(x2) overshoot and cycle."""
+
+    def deviation(self, x):
+        e = 2.0 * np.exp(-(x / 0.05) ** 2)
+        return e, -800.0 * x * e, None
+
+    def polar(self, x):
+        d, d1, d2 = self.deviation(x)
+        return 1.0 + d, d1, d2
+
+
+def test_xi_from_x2_bracket_stops_the_cycles(section4, monkeypatch):
+    # 52 of these x2 run into the 60-round cap without the midpoint steps,
+    # and 6 without the stop on a bracket 4 ulp wide; with both the last
+    # stops in round 11
+    steep = _SteepProfile()
+    rounds = []
+    real = steep.deviation
+    monkeypatch.setattr(steep, "deviation", lambda x: rounds.append(x) or real(x))
+    monkeypatch.setattr(section4, "curve", steep)
+    x2 = np.linspace(-0.99, 0.99, 4001)
+    got = section4._xi_from_x2(x2)
+    assert len(rounds) <= 15
+    assert np.allclose(got, bisection.xi_from_x2(steep, x2), rtol=1e-14, atol=1e-17)
+
+
+def _mp_circle_dev(x, s):
+    u = mp.cos(x) * (1 - mp.cos(s)) - mp.sin(x) * mp.sin(s)
+    return u + mp.sqrt(u * u + 2 * mp.cos(s) - 1) - 1
+
+
+def _mp_rho(curve, x):
+    """rho(x) in mpmath: _window_dev's two circles and bump, read from the
+    curve's float sigma table."""
+    if not 0 < x <= curve._xi_live or 1 / (x * x) > curve.kmax:
+        return mp.mpf(1)
+    k = int(mp.floor(1 / (x * x)))
+    xik, xik1 = 1 / mp.sqrt(k), 1 / mp.sqrt(k + 1)
+    s = min(max(3 * (x - xik1) / (xik - xik1) - 1, mp.mpf(0)), mp.mpf(1))
+    if 0 < s < 1:
+        h, hb = mp.exp(-1 / s), mp.exp(-1 / (1 - s))
+        a = hb / (h + hb)
+    else:
+        a = 1 - s
+    dk = _mp_circle_dev(x - xik, mp.mpf(float(curve._sig[k])))
+    dq = _mp_circle_dev(x - xik1, mp.mpf(float(curve._sig[k + 1])))
+    return 1 + dk + (dq - dk) * a
+
+
+def test_xi_from_x2_against_mpmath(section4, built_curve, rng):
+    # each root lies within 1 ulp of the 40-digit root, or no further from
+    # it than the 60-round bisection's; that bracket stops 3e-18 wide, so on
+    # tiny x2 only the 1-ulp bound holds
+    edge = [0.0, -0.0, 5e-324, 1e-300, 1.0 - 1e-10, -(1.0 - 1e-10)]
+    x2 = np.concatenate([_inverted_x2(), rng.uniform(-1.0, 1.0, 200),
+                         rng.uniform(0.0, 0.34, 200), edge])
+    new = section4._xi_from_x2(x2).tolist()
+    old = bisection.xi_from_x2(built_curve, x2).tolist()
+    x2_live = math.sin(built_curve._xi_live)
+    with mp.workdps(40):
+        for v, a, b in zip(x2.tolist(), new, old):
+            if v <= 0.0 or v >= x2_live:
+                root = mp.asin(v)
+            else:  # the residual is relative, so tiny x2 converge as well
+                root = mp.findroot(lambda x: _mp_rho(built_curve, x) * mp.sin(x) / v - 1,
+                                   (mp.mpf(a), mp.mpf(a) * (1 + mp.mpf(2) ** -40)),
+                                   solver="secant", tol=mp.mpf(10) ** -70)
+            ulp = float(np.spacing(abs(float(root))))
+            assert abs(a - root) <= max(ulp, abs(b - root)), (v, a, b, root)
 
 
 def test_f1_repeated_x2_equals_one_call_per_value(section4, rng):
