@@ -130,7 +130,8 @@ def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
     keep[starts[1:] - 1] = False  # the pairs of rows that straddle two trajectories
     radial = unit(bases)
     th = angle_between(radial[:-1][keep], radial[1:][keep])
-    thetas = np.split(th, (starts - np.arange(len(logs)))[1:])
+    cuts = [0, *(starts - np.arange(len(logs)))[1:].tolist(), th.size]
+    thetas = [th[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def peak(x):
         return np.maximum.reduceat(x, starts)

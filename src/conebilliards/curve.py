@@ -93,9 +93,11 @@ def bump_constant() -> float:
     """c = max(sup|a'|, sup|a''|, 1), measured once on a dense grid."""
     global _BUMP_C
     if _BUMP_C is None:
-        ts = np.linspace(0.0, 1.0, 200_001)
-        _, ap, app = bump(ts)
-        _BUMP_C = float(max(np.abs(ap).max(), np.abs(app).max(), 1.0))
+        ts, c = np.linspace(0.0, 1.0, 200_001), 1.0
+        for i in range(0, ts.size, spiral.FILL_BLOCK):  # max is exact in any order
+            _, ap, app = bump(ts[i:i + spiral.FILL_BLOCK])
+            c = max(np.abs(ap).max(), np.abs(app).max(), c)
+        _BUMP_C = float(c)
     return _BUMP_C
 
 
@@ -258,7 +260,7 @@ class PolarCurve:
 KAPPA_MIN = 0.5           # the cone is a billiard table while the curvature exceeds this
 SAMPLES_PER_WINDOW = 96
 DETECT_HORIZON = 4096     # every window below is sampled; beyond, 48 geometric ones
-SWEEP_BLOCK = 512         # windows per curvature batch; bounds the sweep's peak memory
+SWEEP_BLOCK = 64          # windows per curvature batch: its temporaries stay in L2
 
 
 def _window_minima(curve: PolarCurve, windows: np.ndarray) -> np.ndarray:
@@ -287,7 +289,9 @@ def build_curve(params: Optional[SpiralParams] = None, kmax: int = 130_000,
     if k1 > kmax - 2:
         raise ConstructionError(f"no window above k1 >= {k1} fits below kmax = {kmax}")
     sig = np.zeros(kmax + 2)
-    sig[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
+    for k in range(2, kmax + 2, spiral.FILL_BLOCK):
+        ks = np.arange(k, min(k + spiral.FILL_BLOCK, kmax + 2), dtype=float)
+        sig[k:k + ks.size] = spiral.sigma(ks)
     if np.abs(sig).max() >= SIGMA_DOMAIN:
         raise ConstructionError("a sigma_k fell outside the arc domain")
 

@@ -178,7 +178,7 @@ def next_intersection(cone: EllipticCone, p: np.ndarray,
     a2, b2 = cone.a**2, cone.b**2
     A = v0 ** 2 / a2 + v1 ** 2 / b2 - v2 ** 2
     B = 2.0 * (p0 * v0 / a2 + p1 * v1 / b2 - p2 * v2)
-    C = cone.quadric(p)
+    C = (p0 / cone.a) ** 2 + (p1 / cone.b) ** 2 - p2 ** 2  # cone.quadric(p)
     p_norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
     t_min = T_MIN_FACTOR * p_norm
     if abs(A) < LINEAR_A_TOL:

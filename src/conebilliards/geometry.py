@@ -84,8 +84,7 @@ def _normalized(g: np.ndarray) -> np.ndarray:
     gl = g.tolist()
     if not 0.0 < sum(map(mul, gl, gl)) < math.inf:
         raise DomainError("cannot normalize a (near-)zero or overflowing vector")
-    norm = math.sqrt(g.dot(g))
-    return np.array([x / norm for x in gl])
+    return g / math.sqrt(g.dot(g))
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def reflect_direction(v, normal) -> np.ndarray:
     vn = float(v.dot(n))
     if abs(vn) < GRAZING_TOL:
         raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
-    c = 2.0 * vn
-    return _normalized(np.array([a - c * b for a, b in zip(v.tolist(), n.tolist())]))
+    return _normalized(v - (2.0 * vn) * n)
 
 
 def angle_between(u, w):

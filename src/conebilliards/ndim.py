@@ -46,20 +46,18 @@ class LiftedSection:
 
     # -- planar profile ---------------------------------------------------------
     def _xi_from_x2(self, x2):
-        """Invert x2 = rho(xi) sin(xi) once per distinct x2 by Newton steps
-        from arcsin(x2), the root wherever rho == 1.  One deviation call
-        gives the residual (sin xi - x2) + (rho - 1) sin xi and the slope
-        rho' sin xi + rho cos xi.  Each residual's sign tightens a bracket,
-        first (-pi/2, pi/2); a step not landing strictly inside it becomes
-        the midpoint.  A value stops once its step or its bracket is at most
-        4 ulp (the bracket where residual noise outweighs a flat slope), or
-        after NEWTON_ROUNDS rounds.  Only moving values are evaluated, so no
-        result depends on its batch.  On the default curve all stop within
-        2 rounds."""
+        """Invert x2 = rho(xi) sin(xi) by Newton steps from arcsin(x2), the
+        root wherever rho == 1.  One deviation call gives the residual
+        (sin xi - x2) + (rho - 1) sin xi and the slope rho' sin xi + rho cos xi.
+        Each residual's sign tightens a bracket, first (-pi/2, pi/2); a step
+        not landing strictly inside it becomes the midpoint.  A value stops
+        once its step or its bracket is at most 4 ulp (the bracket where
+        residual noise outweighs a flat slope), or after NEWTON_ROUNDS rounds.
+        Only moving values are evaluated, so no result depends on its batch.
+        On the default curve all stop within 2 rounds."""
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         if not np.all(np.abs(x2) < 1.0):
             raise DomainError("x2 must lie in (-1, 1)")
-        x2, back = np.unique(x2, return_inverse=True)
         x = np.arcsin(x2)
         xi, todo, t = x.copy(), np.arange(x2.size), x2
         lo = np.full_like(x2, -math.pi / 2.0 + 1e-12)
@@ -82,13 +80,14 @@ class LiftedSection:
                 break
             go = ~done
             todo, x, t, lo, hi = todo[go], new[go], t[go], lo[go], hi[go]
-        return xi[back]
+        return xi
 
     def f1(self, x2):
-        """(f1, f1', f1'') at x2, by the chain rule through xi."""
+        """(f1, f1', f1'') at x2, by the chain rule through xi, evaluated once
+        per distinct x2."""
         scalar = np.ndim(x2) == 0
-        xi_v = self._xi_from_x2(x2)
-        f, fp, fpp = self._f1_at_xi(xi_v)
+        x2, back = np.unique(np.atleast_1d(x2), return_inverse=True)
+        f, fp, fpp = (a[back] for a in self._f1_at_xi(self._xi_from_x2(x2)))
         if scalar:
             return float(f[0]), float(fp[0]), float(fpp[0])
         return f, fp, fpp

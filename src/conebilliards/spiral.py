@@ -30,6 +30,7 @@ HALF_PI = 0.5 * math.pi
 # Tail sums are accumulated in blocks of TAIL_BLOCK indices, each anchored on
 # the closed form at the first index of the next block.
 TAIL_BLOCK = 4096
+FILL_BLOCK = 2 * TAIL_BLOCK  # entries per array pass over a table or grid; bounds the peak memory
 _TAIL_PARTIAL_TERMS = 4000
 
 
@@ -132,9 +133,10 @@ class TailTable:
             raise DomainError("kmax must be >= 2")
         self.kmax = int(kmax)
         n = self.kmax + 1
-        th, s = _block_tails(0, (n - 1) // TAIL_BLOCK + 1)  # up to the block of k = n
-        self.theta = th[:n]
-        self.S = s[:n]  # S[k-1] = S_k
+        self.theta, self.S = np.empty(n), np.empty(n)  # S[k-1] = S_k
+        for i in range(0, n, FILL_BLOCK):  # each pass fills whole tail blocks, then trims
+            th, s = _block_tails(i // TAIL_BLOCK, (i + FILL_BLOCK) // TAIL_BLOCK)
+            self.theta[i:i + FILL_BLOCK], self.S[i:i + FILL_BLOCK] = th[:n - i], s[:n - i]
 
     def tail(self, k) -> np.ndarray:
         k = np.asarray(k)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from conebilliards.errors import (
     C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination,
 )
-from conebilliards import geometry, spiral
+from conebilliards import curve as curve_module, geometry, spiral
 from conebilliards.curve import (
+    SAMPLES_PER_WINDOW,
+    SWEEP_BLOCK,
     PolarCurve,
+    _window_minima,
     _h_derivs,
     bump,
     bump_constant,
@@ -393,6 +397,49 @@ def test_default_curve_k1_and_sigma_table_pinned(built_curve):
     assert built_curve.k1 == 66
     assert hashlib.sha256(built_curve._sig.tobytes()).hexdigest() == (
         "6e686b8e91f65eb465435b24f51f90b7fb5f9667fde84c0ddd46527a45aa86d3")
+
+
+@pytest.mark.parametrize("kmax", [4095, 4096, 4097, 8191, 8192, 8193, 130_000])
+def test_blocked_sigma_table_equals_one_pass(built_curve, kmax):
+    # kmax on both sides of the edges of the blocks that fill the table
+    curve = built_curve if kmax == built_curve.kmax else build_curve(kmax=kmax, k1_min=9)
+    want = np.zeros(kmax + 2)
+    want[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
+    want[:curve.k1 + 1] = 0.0  # the flat start
+    assert curve._sig.tobytes() == want.tobytes()
+
+
+def test_blocked_bump_constant_equals_one_pass(monkeypatch):
+    _, ap, app = bump(np.linspace(0.0, 1.0, 200_001))
+    monkeypatch.setattr(curve_module, "_BUMP_C", None)
+    assert bump_constant() == float(max(np.abs(ap).max(), np.abs(app).max(), 1.0))
+
+
+@pytest.mark.parametrize("count", [1, SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+                                   2 * SWEEP_BLOCK + 1])
+def test_window_minima_equal_per_window_minima(built_curve, count):
+    windows = np.unique(np.geomspace(60, 129_000, count).astype(int))
+    want = [built_curve.curvature(built_curve.window_samples(k, SAMPLES_PER_WINDOW)).min()
+            for k in windows.tolist()]
+    assert _window_minima(built_curve, windows).tobytes() == np.array(want).tobytes()
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_curve_peak_memory_is_bounded(monkeypatch):
+    # the blocked sweeps keep the temporaries small beside the about 2 MB the
+    # sigma table and the curve's own copy of it hold at kmax = 130 000
+    # (one pass over all indices peaked at 17 MB, and bump_constant at 14 MB)
+    assert _traced_peak_mb(lambda: build_curve(kmax=130_000)) <= 8.0
+    monkeypatch.setattr(curve_module, "_BUMP_C", None)
+    assert _traced_peak_mb(bump_constant) <= 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_f1_makes_few_curve_calls(section4, built_curve, monkeypatch, rng):
         assert len(calls) <= 4
 
 
+def test_f1_evaluates_polar_once_per_distinct_x2(section4, built_curve, monkeypatch):
+    # criterion 9's lattice repeats each x2 along its rows: the chain rule
+    # runs on the distinct values only
+    x2 = _disk_grid(3, 10_000)[:, 0]
+    real = built_curve.polar
+    points = []
+
+    def counting(x):
+        points.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(built_curve, "polar", counting)
+    section4.f1(x2)
+    assert sum(points) == np.unique(x2).size < x2.size
+
+
 class _SteepProfile:
     """Stand-in curve with rho = 1 + 2 exp(-(xi/0.05)^2): x2(xi) still rises
     on (-pi/2, pi/2), but its slope falls to about 0.1 near xi = 0.06, where

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +19,7 @@ from conebilliards.spiral import (
     SpiralParams,
     SpiralTrajectory,
     TailTable,
+    _block_tails,
     delta,
     k0,
     normal_w,
@@ -113,6 +115,27 @@ def test_tail_table_is_prefix_of_larger_table():
     n = small.S.size
     assert small.S.tobytes() == large.S[:n].tobytes()
     assert small.theta.tobytes() == large.theta[:n].tobytes()
+
+
+@pytest.mark.parametrize("kmax", [4095, 4096, 4097, 8191, 8192, 8193, 130_000])
+def test_blocked_tail_table_equals_one_pass(kmax):
+    n = kmax + 1
+    th, s = _block_tails(0, (n - 1) // TAIL_BLOCK + 1)
+    table = TailTable(kmax)
+    assert table.theta.tobytes() == th[:n].tobytes()
+    assert table.S.tobytes() == s[:n].tobytes()
+
+
+def test_tail_table_peak_memory_is_bounded():
+    # theta and S hold about 2 MB at kmax = 130 000; one pass over all
+    # blocks peaked at 5 MB
+    tracemalloc.start()
+    try:
+        TailTable(130_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 @pytest.mark.parametrize("k", [1, 31, 32, TAIL_BLOCK - 1, TAIL_BLOCK, TAIL_BLOCK + 1,
