@@ -60,7 +60,6 @@ from .curve import (
     bump,
     build_curve,
     c2_check_at_zero,
-    circle_polar,
     replay,
     sign_change_census,
 )

@@ -47,7 +47,8 @@ class RunReport:
 
     def dump(self, path: Optional[str]) -> None:
         with _output(path) as out:
-            out.write(json.dumps(asdict(self), indent=2, default=float) + "\n")
+            # asdict's bytes without its deep copy: no field holds a dataclass
+            out.write(json.dumps(vars(self), indent=2, default=float) + "\n")
 
 
 def _fail(msg: str) -> "SystemExit":

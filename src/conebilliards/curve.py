@@ -25,7 +25,6 @@ from .geometry import GeneralCone, _dots, angular_momenta, cone_step_precise
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
 
-XI_DOMAIN = math.pi / 3.0
 SIGMA_DOMAIN = math.pi / 4.0
 
 
@@ -129,18 +128,6 @@ def _circle_dev(x, s, m=np):
     gx = ux * g / root
     gxx = -u * g / root + ux * ux * two_cos_m1 / rad / root
     return dev, gx, gxx
-
-
-def circle_polar(xi_val, sigma_val):
-    """(g, g_xi, g_xixi) on the compact domain |xi| <= pi/3, |sigma| <= pi/4."""
-    x = np.asarray(xi_val, dtype=float)
-    s = np.asarray(sigma_val, dtype=float)
-    if np.any(np.abs(x) > XI_DOMAIN + 1e-12) or np.any(np.abs(s) > SIGMA_DOMAIN + 1e-12):
-        raise DomainError("(xi, sigma) outside the well-defined domain D")
-    dev, gx, gxx = _circle_dev(x, s)
-    if np.ndim(xi_val) == 0 and np.ndim(sigma_val) == 0:
-        return 1.0 + float(dev), float(gx), float(gxx)
-    return 1.0 + dev, gx, gxx
 
 
 # ---------------------------------------------------------------------------

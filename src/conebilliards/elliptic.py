@@ -60,14 +60,22 @@ class EllipticCone:
         return (x0 / self.a) ** 2 + (x1 / self.b) ** 2 - x2 ** 2
 
     def gradient(self, x) -> np.ndarray:
-        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
-        return np.array([2.0 * x0 / self.a**2, 2.0 * x1 / self.b**2, -2.0 * x2])
+        return np.array(self._gradient(*np.asarray(x, dtype=float).tolist()))
+
+    def _gradient(self, x0: float, x1: float, x2: float) -> list:
+        return [2.0 * x0 / self.a**2, 2.0 * x1 / self.b**2, -2.0 * x2]
+
+    def _surface_point(self, phi: float, t: float) -> list:
+        return [t * (self.a * math.cos(phi)), t * (self.b * math.sin(phi)), float(t)]
 
     def surface_point(self, phi: float, t: float = 1.0) -> np.ndarray:
-        return np.array([t * (self.a * math.cos(phi)), t * (self.b * math.sin(phi)), float(t)])
+        return np.array(self._surface_point(phi, t))
 
     def inward_normal(self, x) -> np.ndarray:
-        return _normalized(-self.gradient(x))
+        return np.array(self._inward_normal(*np.asarray(x, dtype=float).tolist()))
+
+    def _inward_normal(self, x0: float, x1: float, x2: float) -> list:
+        return _normalized(np.array([-g for g in self._gradient(x0, x1, x2)]))
 
     def section_angle(self, x) -> float:
         """Elliptic parameter angle of a surface point: x = t(a cos, b sin, 1)."""
@@ -83,10 +91,13 @@ def first_integrals(cone: EllipticCone, x, v) -> tuple:
     Python floats, elementwise the same operations.
     """
     if np.ndim(x) == np.ndim(v) == 1:
-        (x0, x1, x2), (v0, v1, v2) = np.asarray(x, float).tolist(), np.asarray(v, float).tolist()
-    else:
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+        return _integrals(cone, *np.asarray(x, float).tolist(), *np.asarray(v, float).tolist())
+    return _integrals(cone, x[..., 0], x[..., 1], x[..., 2], v[..., 0], v[..., 1], v[..., 2])
+
+
+def _integrals(cone: EllipticCone, x0, x1, x2, v0, v1, v2) -> tuple:
+    """(I1, I2) from the coordinates of a base and a direction: Python
+    floats for one line, arrays for a stack."""
     m12 = x0 * v1 - x1 * v0
     m13 = x0 * v2 - x2 * v0
     m23 = x1 * v2 - x2 * v1
@@ -103,7 +114,7 @@ class IntegralPair:
 
 
 def integral_pair(cone: EllipticCone, line: OrientedLine) -> IntegralPair:
-    return IntegralPair(*first_integrals(cone, line.base, line.dir))
+    return IntegralPair(*_integrals(cone, *line.base.tolist(), *line.dir.tolist()))
 
 
 def h_identity_residual(cone: EllipticCone, u, v) -> float:
@@ -163,7 +174,16 @@ def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
 def next_intersection(cone: EllipticCone, p: np.ndarray,
                       v: np.ndarray) -> Union[np.ndarray, Termination]:
     """Closed-form first hit of the ray p + t v with the surface, or ESCAPED
-    or APEX.
+    or APEX: ``_next_hit`` on the arrays' Python floats."""
+    if p.size != 3:
+        raise DomainError("elliptic stepping lives in R^3")
+    hit = _next_hit(cone, *p.tolist(), *v.tolist())
+    return hit if isinstance(hit, Termination) else np.array(hit)
+
+
+def _next_hit(cone: EllipticCone, p0: float, p1: float, p2: float,
+              v0: float, v1: float, v2: float) -> Union[list, Termination]:
+    """The hit of ``next_intersection`` as three Python floats.
 
     Substituting the ray into Q gives A t^2 + B t + C; of the roots, taken
     through the stable q-form, the first counts that lies above t_min, is
@@ -172,9 +192,6 @@ def next_intersection(cone: EllipticCone, p: np.ndarray,
     runs on Python floats, with x ** 2 kept as the libm pow that numpy
     scalars call: x * x rounds differently.
     """
-    if p.size != 3:
-        raise DomainError("elliptic stepping lives in R^3")
-    (p0, p1, p2), (v0, v1, v2) = p.tolist(), v.tolist()
     a2, b2 = cone.a**2, cone.b**2
     A = v0 ** 2 / a2 + v1 ** 2 / b2 - v2 ** 2
     B = 2.0 * (p0 * v0 / a2 + p1 * v1 / b2 - p2 * v2)
@@ -202,7 +219,7 @@ def next_intersection(cone: EllipticCone, p: np.ndarray,
             if near_apex(math.sqrt(h0 * h0 + h1 * h1 + h2 * h2), p_norm):
                 return Termination.APEX
             if h2 > 0.0:
-                return np.array([h0, h1, h2])
+                return [h0, h1, h2]
     return Termination.ESCAPED
 
 
@@ -257,21 +274,26 @@ def run(
     max_steps: int = 100_000,
     started_on_surface: bool = False,
 ) -> TrajectoryLog:
-    """Iterate reflections until escape, apex, grazing incidence, or max_steps."""
-    bases, dirs = [line0.base], [line0.dir]
+    """Iterate reflections until escape, apex, grazing incidence, or max_steps.
+
+    The base and direction go from one reflection to the next as Python
+    floats; the direction array ``reflect_direction`` returns is logged."""
+    bases, dirs = [line0.base.tolist()], [line0.dir]
+    p, v = bases[0], dirs[0].tolist()
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
-        hit = next_intersection(cone, bases[-1], dirs[-1])
+        hit = _next_hit(cone, *p, *v)
         if isinstance(hit, Termination):
             termination = hit
             break
         try:
-            out = reflect_direction(dirs[-1], cone.gradient(hit))
+            out = reflect_direction(dirs[-1], cone._gradient(*hit))
         except GrazingError:
             termination = Termination.GRAZING
             break
         bases.append(hit)
         dirs.append(out)
+        p, v = hit, out.tolist()
     return TrajectoryLog(cone, np.array(bases), np.array(dirs), termination, started_on_surface)
 
 
@@ -368,8 +390,8 @@ def sample_start(cone: EllipticCone, rng: np.random.Generator) -> OrientedLine:
     Python floats is the only check of its base and direction."""
     phi = rng.uniform(0.0, 2.0 * math.pi)
     t = rng.uniform(0.5, 2.0)
-    base = cone.surface_point(phi, t)
-    n_in = cone.inward_normal(base)
+    base = cone._surface_point(phi, t)
+    n_in = np.array(cone._inward_normal(*base))
     while True:
         v = rng.normal(size=3)
         norm = math.sqrt(v.dot(v))  # np.linalg.norm's bits

@@ -10,7 +10,7 @@ master conserved quantity checked throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Union
 
@@ -71,20 +71,22 @@ def unit(x) -> np.ndarray:
     return v / n
 
 
-def check_unit(v: np.ndarray) -> None:
-    norm = math.hypot(*v.tolist())
+def check_unit(v: list) -> None:
+    """Refuse a direction, given as Python floats, that is not a finite unit vector."""
+    norm = math.hypot(*v)
     if not abs(norm - 1.0) <= UNIT_TOL:
         raise DomainError(f"direction is not a finite unit vector within {UNIT_TOL}: |v| = {norm}")
 
 
-def _normalized(g: np.ndarray) -> np.ndarray:
-    """g / sqrt(np.dot(g, g)) of a 1-d array: unit's bits for a contiguous g.
-    The zero, overflow and finiteness test sums squares on Python floats,
-    which overflow to inf without a warning."""
+def _normalized(g: np.ndarray) -> list:
+    """g / sqrt(np.dot(g, g)) of a 1-d array, as Python floats: unit's bits
+    for a contiguous g.  The zero, overflow and finiteness test sums squares
+    on Python floats, which overflow to inf without a warning."""
     gl = g.tolist()
     if not 0.0 < sum(map(mul, gl, gl)) < math.inf:
         raise DomainError("cannot normalize a (near-)zero or overflowing vector")
-    return g / math.sqrt(g.dot(g))
+    s = math.sqrt(g.dot(g))
+    return [x / s for x in gl]
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,9 @@ class OrientedLine:
                 or not all(map(math.isfinite, base.tolist()))):  # on Python floats
             raise DomainError(f"need a finite base and a dir of one dimension >= 2, "
                               f"got shapes {base.shape} and {d.shape}")
-        check_unit(d)  # which refuses a non-finite dir
+        check_unit(d.tolist())  # which refuses a non-finite dir
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dir", d)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.base + t * self.dir
 
 
 def momentum_pairs(n: int) -> list:
@@ -143,20 +142,24 @@ def reflect_direction(v, normal) -> np.ndarray:
     """Specular reflection v - 2<v,n>n of a unit v, renormalized; n is
     ``normal`` normalized, so any nonzero length will do.
 
-    Tangential components are preserved, the normal component flips.  The
-    three dots that set bits (|normal|, <v,n> and |w|) go through np.dot,
-    whose FMA chain on 3-vectors a plain Python sum does not reproduce.
+    Tangential components are preserved, the normal component flips.  It
+    runs on Python floats, but the three dots that set bits (|normal|,
+    <v,n> and |w|) go through np.dot, whose FMA chain on 3-vectors a plain
+    Python sum does not reproduce.
     """
     v, g = np.asarray(v, dtype=float), np.asarray(normal, dtype=float)
     if v.ndim != 1 or v.shape != g.shape or v.size < 2:
         raise DomainError(f"need a direction and a normal of one dimension >= 2, "
                           f"got shapes {v.shape} and {g.shape}")
-    check_unit(v)
-    n = _normalized(g)
-    vn = float(v.dot(n))
+    vl = v.tolist()
+    check_unit(vl)
+    nl = _normalized(g)
+    vn = float(v.dot(np.array(nl)))
     if abs(vn) < GRAZING_TOL:
         raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
-    return _normalized(v - (2.0 * vn) * n)
+    c = 2.0 * vn
+    w = np.array([x - c * n for x, n in zip(vl, nl)])
+    return w / math.sqrt(w.dot(w))  # |w| = |v| to rounding: nothing to refuse
 
 
 def angle_between(u, w):
@@ -300,36 +303,52 @@ class GeneralCone:
     """Cone {t * (rho(xi) cos xi, rho(xi) sin xi, 1) : t > 0} over a polar
     section with apex at the origin and axis +x3.
 
-    ``section`` must provide polar(xi) -> (rho, rho', rho'') and
-    deviation(xi) -> (rho - 1, rho', rho'') for scalar or array xi.
+    ``section`` must provide deviation(xi) -> (rho - 1, rho', rho'') for a
+    float xi.  Every scalar section call of a step goes through the cone's
+    ``deviation``, which keeps the last pair it evaluated: a step asks again
+    for the angles of its later prediction rounds, of bracket and bisection
+    points a few ulps apart, of the normal at the hit and, in the next
+    step's first prediction, of that same hit.
     """
 
     section: object
+    _last: list = field(default_factory=lambda: [math.nan, None], init=False,
+                        repr=False, compare=False)
+
+    def deviation(self, xi: float):
+        """``section.deviation(xi)``, memoized on the last xi.  The key is the
+        exact float: +0.0 and -0.0 differ, and a NaN never matches."""
+        last = self._last
+        key = last[0]
+        if xi == key and (xi != 0.0 or math.copysign(1.0, xi) == math.copysign(1.0, key)):
+            return last[1]
+        value = self.section.deviation(xi)
+        last[0], last[1] = xi, value
+        return value
 
     def normal_at(self, point) -> np.ndarray:
         """Surface normal e1 x e2, not unit, with e1 the ruling through the
         point and e2 the lifted section tangent."""
-        x = np.asarray(point, dtype=float)
-        xi = math.atan2(x[1], x[0])
-        r, r1, _ = (float(v) for v in self.section.polar(xi))
+        xi = math.atan2(float(point[1]), float(point[0]))
+        d, d1, _ = self.deviation(xi)
+        r, r1 = 1.0 + float(d), float(d1)
         cx, sx = math.cos(xi), math.sin(xi)
         ax, ay, bx, by = r * cx, r * sx, r1 * cx - r * sx, r1 * sx + r * cx
         # e1 = (ax, ay, 1) x e2 = (bx, by, 0), product for product as np.cross forms it
         return np.array([ay * 0.0 - by, bx - ax * 0.0, ax * by - ay * bx])
 
 
-def _escapes(cone: GeneralCone, direction: np.ndarray) -> bool:
+def _escapes(cone: GeneralCone, direction) -> bool:
     # A ray from strictly inside stays inside iff its direction lies in the
     # closed solid cone (the region is a convex cone).
-    v = direction
-    if v[2] <= 0.0:
+    v0, v1, v2 = map(float, direction)
+    if v2 <= 0.0:
         return False
-    xi = math.atan2(v[1], v[0])
-    rho = float(cone.section.polar(xi)[0])
-    return math.hypot(v[0], v[1]) / v[2] <= rho
+    rho = 1.0 + float(cone.deviation(math.atan2(v1, v0))[0])
+    return math.hypot(v0, v1) / v2 <= rho
 
 
-def _make_gap(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray, v: np.ndarray):
+def _make_gap(cone: GeneralCone, p, p_tail, v):
     """Compensated sign function of x^2 + y^2 - z^2 rho(xi)^2 along the ray.
 
     Negative strictly inside the solid cone, positive outside it, and +inf
@@ -337,10 +356,8 @@ def _make_gap(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray, v: np.ndarra
     spurious negative value.  ``p_tail`` is the double-double tail of the
     base point (zero for a plain line).
     """
-    deviation = cone.section.deviation
-    p0, p1, p2 = float(p[0]), float(p[1]), float(p[2])
-    l0, l1, l2 = float(p_tail[0]), float(p_tail[1]), float(p_tail[2])
-    v0, v1, v2 = float(v[0]), float(v[1]), float(v[2])
+    deviation = cone.deviation
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = (map(float, x) for x in (p, p_tail, v))
 
     def gap(t: float) -> float:
         zh, zl = _dd_ray_coord(p2, l2, t, v2)
@@ -357,14 +374,15 @@ def _make_gap(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray, v: np.ndarra
     return gap
 
 
-def _predict_root(section, p: np.ndarray, p_tail: np.ndarray, v: np.ndarray,
+def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
                   t_min: float) -> Optional[float]:
     """First exit above t_min from the circular cone with rho = 1 + dev
     frozen at the base's xi, then at each predicted hit's xi; or None.
+    The base, its tail and the direction are Python floats.
     B and C are compensated like the gap: a plain C at a base on the
     surface is noise of size eps |p|^2, which moves the root by
     eps (|p|/t)^2 relative (6e-4 at k = 1e4 on the witness cone)."""
-    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p.tolist(), p_tail.tolist(), v.tolist()
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
     z2h, z2l = _dd_sq(p2, l2)
     ch, cl = _dd_add(*_dd_add(*_dd_sq(p0, l0), *_dd_sq(p1, l1)), -z2h, -z2l)
     (h0, e0), (h1, e1), (h2, e2) = _two_prod(p0, v0), _two_prod(p1, v1), _two_prod(p2, v2)
@@ -372,7 +390,7 @@ def _predict_root(section, p: np.ndarray, p_tail: np.ndarray, v: np.ndarray,
     A0, B0, C0 = v0 * v0 + v1 * v1 - v2 * v2, bh + bl, ch + cl
     x, y, t = p0, p1, None
     for _ in range(PREDICT_ROUNDS):
-        dev = float(section.deviation(math.atan2(y, x))[0])
+        dev = float(cone.deviation(math.atan2(y, x))[0])
         d = 2.0 * dev + dev * dev  # rho^2 - 1
         A, B, C = A0 - v2 * v2 * d, 2.0 * (B0 - p2 * v2 * d), C0 - z2h * d
         disc = B * B - 4.0 * A * C
@@ -446,12 +464,13 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     crossing; only where the gap is rounding noise a few ulps around it can
     two brackets end on neighbouring floats.  No prediction, or a bracket
     reaching t_min or SCAN_FACTOR * scale, falls back to _scan_root."""
-    scale = max(float(np.linalg.norm(p)), 1e-12)
+    scale = max(math.sqrt(p.dot(p)), 1e-12)  # np.linalg.norm's bits
     t_min = T_MIN_FACTOR * scale
-    if _escapes(cone, v):
+    pl, tl, vl = p.tolist(), p_tail.tolist(), v.tolist()
+    if _escapes(cone, vl):
         return Termination.ESCAPED
-    gap = _make_gap(cone, p, p_tail, v)
-    t = _predict_root(cone.section, p, p_tail, v, t_min)
+    gap = _make_gap(cone, pl, tl, vl)
+    t = _predict_root(cone, pl, tl, vl, t_min)
     if t is not None:
         g = gap(t)
         side, width = (1.0 if g < 0.0 else -1.0), 4.0 * math.ulp(t)  # inside: the exit is ahead
@@ -485,14 +504,12 @@ def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     t_hit = _intersect_ray(cone, p, p_tail, v)
     if isinstance(t_hit, Termination):
         return t_hit
-    hit = np.empty(3)
-    tail = np.empty(3)
-    for i in range(3):
-        hit[i], tail[i] = _dd_ray_coord(float(p[i]), float(p_tail[i]), t_hit, float(v[i]))
-    if near_apex(float(np.linalg.norm(hit)), float(np.linalg.norm(p))):
+    hl, tl = zip(*map(_dd_ray_coord, p.tolist(), p_tail.tolist(), (t_hit,) * 3, v.tolist()))
+    hit = np.array(hl)
+    if near_apex(math.sqrt(hit.dot(hit)), math.sqrt(p.dot(p))):  # np.linalg.norm's bits
         return Termination.APEX
     try:
-        out = reflect_direction(v, cone.normal_at(hit))
+        out = reflect_direction(v, cone.normal_at(hl))
     except GrazingError:
         return Termination.GRAZING
-    return hit, tail, out
+    return hit, np.array(tl), out

@@ -19,9 +19,6 @@ from .errors import ConvexityFailure, DomainError
 from .spiral import SpiralTrajectory
 from . import spiral
 
-# Second-difference rounding noise is ~4 eps/h^2: 1e-5 would floor at 9e-6,
-# 1e-4 keeps the cross-check honestly below 1e-6.
-FD_STEP = 1e-4
 BOUNDARY_MARGIN = 1e-3    # negdef_check samples the disk of radius 1 - this
 NEWTON_ROUNDS = 60        # cap on the rounds of the profile inversion
 
@@ -147,32 +144,6 @@ class LiftedSection:
                     H[:, i, j] = -1.0 / F - rest[:, i - 1] ** 2 / F3
                 else:
                     H[:, i, j] = -rest[:, i - 1] * rest[:, j - 1] / F3
-        return H
-
-    def hessian_fd(self, y, h: float = FD_STEP) -> np.ndarray:
-        """Central-difference Hessian, the cross-check oracle."""
-        y = np.asarray(y, dtype=float)
-        m = y.size
-        eye = np.eye(m)
-        pts = [y]
-        for i in range(m):
-            pts += [y + h * eye[i], y - h * eye[i]]
-        for i in range(m):
-            for j in range(i + 1, m):
-                pts += [y + h * (eye[i] + eye[j]), y + h * (eye[i] - eye[j]),
-                        y - h * (eye[i] - eye[j]), y - h * (eye[i] + eye[j])]
-        vals = self.F1_batch(np.stack(pts))
-        H = np.empty((m, m))
-        f0 = vals[0]
-        idx = 1
-        for i in range(m):
-            H[i, i] = (vals[idx] - 2.0 * f0 + vals[idx + 1]) / h**2
-            idx += 2
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b, c, d = vals[idx:idx + 4]
-                H[i, j] = H[j, i] = (a - b - c + d) / (4.0 * h * h)
-                idx += 4
         return H
 
 

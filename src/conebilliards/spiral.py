@@ -50,11 +50,6 @@ def theta(k):
     return 2.0 * np.arcsin(np.sin(delta(k) / 2.0) / SQRT2)
 
 
-def theta_from_cos(k):
-    """Equivalent arccos((cos delta + 1)/2) form, kept as a cross-check."""
-    return np.arccos((np.cos(delta(k)) + 1.0) / 2.0)
-
-
 def delta_diff(k):
     """delta_k - delta_{k-1} in a cancellation-free rationalized form."""
     k = np.asarray(k, dtype=float)
@@ -112,14 +107,6 @@ def theta_tail(k: int) -> float:
     return float(_block_tails(j, j + 1)[1][k - 1 - j * TAIL_BLOCK])
 
 
-def theta_tail_naive(k: int, terms: int = 1_000_000) -> float:
-    """Slow summation oracle: fsum of the first ``terms`` thetas plus the
-    telescoped leading remainder xi_{k+terms}/sqrt(2)."""
-    ks = np.arange(k, k + terms, dtype=float)
-    s = math.fsum(theta(ks).tolist())
-    return s + float(xi(k + terms)) / SQRT2
-
-
 class TailTable:
     """theta_k and S_k for k = 1..kmax+1, from ``_block_tails``.
 
@@ -157,21 +144,28 @@ def shared_tail_table(kmax: int) -> TailTable:
     return _SHARED_TABLE
 
 
-def k0(a: float) -> int:
-    """Smallest k with a - S_k > -pi/2, so t_k(a) > 0 from there on."""
+def k0(a: float, table: Optional[TailTable] = None) -> int:
+    """Smallest k with a - S_k > -pi/2, so t_k(a) > 0 from there on.  S_k
+    is read from ``table`` where it covers k and from ``theta_tail`` beyond:
+    the same bits either way."""
     if not (-HALF_PI < a <= HALF_PI):
         raise DomainError("parameter a must lie in (-pi/2, pi/2]")
     target = a + HALF_PI  # need S_k < target
-    if theta_tail(1) < target:
+    end = table.kmax + 1 if table is not None else 0
+
+    def tail(k: int) -> float:
+        return table.S.item(k - 1) if k <= end else theta_tail(k)
+
+    if tail(1) < target:
         return 1
     lo, hi = 1, 2
-    while theta_tail(hi) >= target:
+    while tail(hi) >= target:
         lo, hi = hi, hi * 2
         if hi > 10**15:
             raise DomainError("k0 search overflow; a is too close to -pi/2")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if theta_tail(mid) < target:
+        if tail(mid) < target:
             hi = mid
         else:
             lo = mid
@@ -261,7 +255,7 @@ class SpiralTrajectory:
         self.a = float(a)
         self.table = shared_tail_table(kmax)
         self.kmax = kmax
-        self.k0 = k0(a)
+        self.k0 = k0(a, self.table)
 
     # -- scalar building blocks ------------------------------------------------
     def tilt(self, k):
@@ -322,10 +316,6 @@ class SpiralTrajectory:
         k = np.asarray(k)
         th = self.table.theta[k - 1]
         return SQRT2 * np.sin(th) / (np.cos(self.tilt(k)) * np.cos(self.tilt(k + 1)))
-
-    def chord_length_direct(self, k):
-        """|p_{k+1} - p_k| by plain subtraction (oracle for moderate k)."""
-        return np.linalg.norm(self.vertex(np.asarray(k) + 1) - self.vertex(k), axis=-1)
 
     def partial_length(self, k_from: int, k_to: int):
         """sum of chords k_from..k_to via the exact telescoping tangent form."""

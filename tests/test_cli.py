@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -461,10 +462,16 @@ def test_block_accounting_equals_the_per_log_methods():
     (["ndim", "check", "--grid", "500", "--steps", "20", "--kmax", "20000"],
      ["build", "embed", "negdef"]),
 ], ids=["simulate", "verify", "build", "replay", "ndim"])
-def test_reports_phase_timings(tmp_path, argv, phases):
-    # every command that writes a report splits its wall time into phases
+def test_reports_phase_timings(tmp_path, argv, phases, monkeypatch):
+    # every command that writes a report splits its wall time into phases,
+    # and the report file holds the bytes of its dataclasses.asdict copy
     rep = tmp_path / "rep.json"
+    reports, dump = [], cli.RunReport.dump
+    monkeypatch.setattr(cli.RunReport, "dump",
+                        lambda self, path: reports.append(self) or dump(self, path))
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--report", str(rep)]) == 0
+    copied = dataclasses.asdict(reports[0])
+    assert rep.read_text() == json.dumps(copied, indent=2, default=float) + "\n"
     data = json.loads(rep.read_text())
     timings = data["timings"]
     assert sorted(timings) == phases

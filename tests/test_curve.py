@@ -12,15 +12,16 @@ from conebilliards.errors import (
 from conebilliards import curve as curve_module, geometry, spiral
 from conebilliards.curve import (
     SAMPLES_PER_WINDOW,
+    SIGMA_DOMAIN,
     SWEEP_BLOCK,
     PolarCurve,
+    _circle_dev,
     _window_minima,
     _h_derivs,
     bump,
     bump_constant,
     build_curve,
     c2_check_at_zero,
-    circle_polar,
     replay,
     sign_change_census,
 )
@@ -78,6 +79,21 @@ def test_bump_fd_cross_check():
 # ---------------------------------------------------------------------------
 # tilted circle in polar form
 # ---------------------------------------------------------------------------
+
+XI_DOMAIN = math.pi / 3.0
+
+
+def circle_polar(xi_val, sigma_val):
+    """(g, g_xi, g_xixi) on the compact domain |xi| <= pi/3, |sigma| <= pi/4."""
+    x = np.asarray(xi_val, dtype=float)
+    s = np.asarray(sigma_val, dtype=float)
+    if np.any(np.abs(x) > XI_DOMAIN + 1e-12) or np.any(np.abs(s) > SIGMA_DOMAIN + 1e-12):
+        raise DomainError("(xi, sigma) outside the well-defined domain D")
+    dev, gx, gxx = _circle_dev(x, s)
+    if np.ndim(xi_val) == 0 and np.ndim(sigma_val) == 0:
+        return 1.0 + float(dev), float(gx), float(gxx)
+    return 1.0 + dev, gx, gxx
+
 
 def test_circle_polar_anchors():
     xs = np.linspace(-math.pi / 3, math.pi / 3, 101)
@@ -493,6 +509,27 @@ def test_replay_states_pinned(built_curve):
     assert digest.hexdigest() == "38126dc0e06da31147f772d34de395e283b4e10a9ee49aa7e84e763fa4234922"
 
 
+@pytest.mark.parametrize("k, expected", [
+    (10_000, "687913261ed5a8748345c19c2009424244d1fe7b70cb03ccc7a20f4aff04711e"),
+    (50_000, "90d402890042b58fc8f62fae1e60974a96dd0e0895d808301a5a60024aaeb517"),
+    # here the gap is sign noise a few ulps around each root
+    (99_000, "a294119c29b5cc57f3c941ed0abf7c8f494afc052143a4dcf06a89290a20cab8"),
+    (120_000, "b241effe6403fa83481e6af5af22ea51adb5d026494e5e37ef984a1c9a15aca3"),
+])
+def test_deep_replay_states_pinned(built_curve, k, expected):
+    # sha256 over base, base_tail and dir of 300 steps from the plain start
+    # at k, taken before the cone memoized its section evaluations
+    cone = GeneralCone(built_curve)
+    line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
+    state = (line.base, np.zeros(3), line.dir)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        state = cone_step_precise(cone, *state)
+        for part in state:
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == expected
+
+
 class _CountingSection:
     """The built curve, counting its scalar and array deviation calls."""
 
@@ -513,15 +550,16 @@ class _CountingSection:
 
 
 def test_replay_section_evaluations_per_step(built_curve, monkeypatch):
-    # the predicted root costs 8 section evaluations a step here, where the
-    # scan and a bisection from 1e-2 |p| took 60.6; the scan never runs
+    # the predicted root costs 2.3 section evaluations a step here: 8.0
+    # before the cone kept its last one, 60.6 by the scan and a bisection
+    # from 1e-2 |p|; the scan never runs
     section = _CountingSection(built_curve)
     scans = []
     scan_root = geometry._scan_root
     monkeypatch.setattr(geometry, "_scan_root", lambda *a: scans.append(a) or scan_root(*a))
     rep = replay(section, SpiralParams(a=0.0), steps=100, strict=True)
     assert rep.start_k == built_curve.k1 + 1
-    assert section.calls <= 12 * 100
+    assert section.calls <= 3 * 100
     assert scans == []
 
 

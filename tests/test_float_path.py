@@ -277,9 +277,34 @@ def test_hit_through_the_apex_from_the_surface():
     (np.array([1.0, 0.0, 1e-14]) / math.hypot(1.0, 1e-14), [0.0, 0.0, 5.0], GrazingError),
     (np.array([0.6, 0.0, 0.8]), [1e150, 0.0, -1e150], None),             # large but finite
     (np.array([0.6, 0.0, 0.8]), [1e-160, 0.0, 1e-160], None),            # |n|^2 subnormal
+    # the plane and R^4
+    (np.array([0.6, 0.8]), [0.0, 1.0], None),
+    (np.array([0.6, 0.8 + 1e-4]), [0.0, 1.0], DomainError),
+    (np.array([0.6, 0.8]), [0.0, 0.0], DomainError),
+    (np.array([0.6, 0.8]), [1e200, -1e200], DomainError),
+    (np.array([1.0, 1e-14]) / math.hypot(1.0, 1e-14), [0.0, 3.0], GrazingError),
+    (np.array([0.6, 0.8]), [1e-160, -1e-160], None),
+    (np.array([0.5, 0.5, 0.5, 0.5]), [1.0, -2.0, 0.5, 3.0], None),
+    (np.array([0.5, 0.5, 0.5, math.nan]), [1.0, -2.0, 0.5, 3.0], DomainError),
+    (np.array([0.5, 0.5, 0.5, 0.5]), [0.0, math.inf, 0.0, 1.0], DomainError),
+    (np.array([0.5, 0.5, 0.5, 0.5]), [1e200, 0.0, 0.0, 1e200], DomainError),
+    (np.array([0.5, 0.5, -0.5, 0.5]), [1.0, 1.0, 1.0, -1.0], GrazingError),
+    (np.array([0.5, 0.5, 0.5, 0.5]), [1e150, 0.0, 1e150, 0.0], None),
 ])
 def test_reflect_edge_cases_match_numpy_reference(v, normal, error):
     new = _outcome(reflect_direction, v, normal)
     assert new == _outcome(ref_reflect_direction, v, normal)
     if error is not None:
         assert new == (error, [])
+    else:
+        assert isinstance(new[0], bytes)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_random_reflections_match_numpy_reference(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(2000):
+        v = rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        normal = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+        assert _outcome(reflect_direction, v, normal) == _outcome(ref_reflect_direction, v, normal)

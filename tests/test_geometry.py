@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 from unittest import mock
 
@@ -94,9 +95,13 @@ def test_distance_sq_trivial():
     assert line_distance_sq(OrientedLine([0, 0, 0], unit([1, 2, 2]))) == 0.0
 
 
+def _point_at(line, t):
+    return line.base + t * line.dir
+
+
 def _closest_point_distance_sq(line, lo=-100.0, hi=100.0):
     # independent oracle: ternary search on |base + t dir|^2 (strictly convex)
-    f = lambda t: float(np.dot(line.point_at(t), line.point_at(t)))
+    f = lambda t: float(np.dot(_point_at(line, t), _point_at(line, t)))
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -521,6 +526,46 @@ def test_predicted_root_equals_fallback_root_on_c2_cone(built_curve, start):
             assert _predicted_root(cone, *state) == _fallback_root(cone, *state)
             state = cone_step_precise(cone, *state)
             assert isinstance(state, tuple)
+
+
+class _EchoSection:
+    """The built curve's deviation with its xi in the last slot, counting calls."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.calls = 0
+
+    def deviation(self, xi):
+        self.calls += 1
+        d, d1, _ = self.curve.deviation(xi)
+        return d, d1, xi
+
+
+def _same_key(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b) and not math.isnan(a)
+
+
+# -0.0 and +0.0, a NaN, the flat region above _xi_live, angles beyond the
+# horizon (xi^2 < 1/kmax) and live ones, with neighbours one ulp apart
+_MEMO_XI = [-0.0, 0.0, math.nan, 0.2, 0.9, -0.3, 1e-3, 2e-3, 5e-324, 0.05, 0.1,
+            math.nextafter(0.1, 1.0), math.nextafter(0.1, 0.0), 0.01, 0.0123]
+
+
+@given(st.lists(st.sampled_from(_MEMO_XI) | st.floats(-math.pi, math.pi), max_size=40))
+@settings(max_examples=300, deadline=None)
+@example([-0.0, 0.0, 0.0, -0.0, math.nan, math.nan, 0.1, 0.1, 0.2, 0.2, 1e-3, 1e-3])
+def test_cone_deviation_memo_is_the_section(built_curve, xis):
+    # each call returns exactly section.deviation(xi), and the section is
+    # asked again unless xi is the previous float, sign of zero included
+    section = _EchoSection(built_curve)
+    cone = GeneralCone(section)
+    evaluations = 0
+    for i, x in enumerate(xis):
+        expected = _EchoSection(built_curve).deviation(x)
+        assert struct.pack("<3d", *cone.deviation(x)) == struct.pack("<3d", *expected)
+        evaluations += i == 0 or not _same_key(x, xis[i - 1])
+    assert section.calls == evaluations
+    assert cone == GeneralCone(section) and hash(cone) == hash(GeneralCone(section))
 
 
 def test_circular_cone_symmetric_chord(circular_cone):

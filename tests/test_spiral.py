@@ -25,9 +25,7 @@ from conebilliards.spiral import (
     normal_w,
     sigma,
     theta,
-    theta_from_cos,
     theta_tail,
-    theta_tail_naive,
     xi,
 )
 
@@ -51,6 +49,11 @@ def test_delta_matches_naive_at_small_k():
     for k in range(1, 50):
         naive = 1.0 / math.sqrt(k) - 1.0 / math.sqrt(k + 1)
         assert float(delta(k)) == pytest.approx(naive, rel=1e-14)
+
+
+def theta_from_cos(k):
+    """theta_k by the equivalent arccos((cos delta + 1)/2) form."""
+    return np.arccos((np.cos(delta(k)) + 1.0) / 2.0)
 
 
 def test_theta_two_closed_forms():
@@ -83,6 +86,29 @@ def test_theta_delta_ratio_limit():
 # ---------------------------------------------------------------------------
 # tail sums
 # ---------------------------------------------------------------------------
+
+def theta_tail_naive(k: int, terms: int = 1_000_000) -> float:
+    """Slow summation oracle: fsum of the first ``terms`` thetas plus the
+    telescoped leading remainder xi_{k+terms}/sqrt(2)."""
+    ks = np.arange(k, k + terms, dtype=float)
+    s = math.fsum(theta(ks).tolist())
+    return s + float(xi(k + terms)) / SQRT2
+
+
+K0_PINS = [(-1.57, 788_474), (-1.569, 154_953), (-1.5, 100), (-1.4, 18), (-1.0, 2),
+           (-0.5, 1), (0.0, 1), (0.7, 1), (math.pi / 2.0, 1)]
+
+
+@pytest.mark.parametrize("a, expected", K0_PINS)
+def test_k0_reads_the_table(tail_table, a, expected):
+    # the search reads S_k from any table that covers k and from theta_tail
+    # beyond it: k0(-1.57) lies past every table, k0(-1.569) and k0(-1.5)
+    # past the small ones
+    assert k0(a) == expected
+    for table in (TailTable(50), TailTable(2000), tail_table):
+        assert k0(a, table) == expected
+    assert SpiralTrajectory(a, kmax=1000).k0 == expected
+
 
 def test_tail_against_naive_oracle():
     for k in (1, 3, 17, 101):
@@ -336,10 +362,15 @@ def test_alpha_recurrence_from_geometry(spiral_a0):
 # chords and lengths
 # ---------------------------------------------------------------------------
 
+def chord_length_direct(traj, k):
+    """|p_{k+1} - p_k| by plain subtraction (oracle for moderate k)."""
+    return np.linalg.norm(traj.vertex(np.asarray(k) + 1) - traj.vertex(k), axis=-1)
+
+
 def test_chord_closed_vs_direct(spiral_a0):
     ks = np.arange(1, 2000)
     closed = spiral_a0.chord_length(ks)
-    direct = spiral_a0.chord_length_direct(ks)
+    direct = chord_length_direct(spiral_a0, ks)
     assert np.abs(closed - direct).max() < 1e-12
 
 
