@@ -215,7 +215,7 @@ class PolarCurve:
         return vals
 
     def polar(self, xi_val):
-        """(rho, rho', rho''); the section interface used by GeneralCone."""
+        """(rho, rho', rho'') from ``deviation``: the curvature, the lift and the CLI tables."""
         d, d1, d2 = self.deviation(xi_val)
         return 1.0 + d, d1, d2
 
@@ -323,7 +323,7 @@ def c2_check_at_zero(curve: PolarCurve, strict: bool = True) -> C2Report:
     """Fit the decay exponents of the window sups of |rho-1|, |rho'|, |rho''|.
 
     The expected envelopes are k^-4, k^-5/2 and k^-1; failing the
-    +-C2_SLOPE_TOL band raises C2CheckFailure (report attached).
+    +-C2_SLOPE_TOL band raises C2CheckFailure.
     """
     k_lo = C2_K_LO
     k_hi = min(curve.kmax - 2, C2_K_HI)
@@ -336,9 +336,7 @@ def c2_check_at_zero(curve: PolarCurve, strict: bool = True) -> C2Report:
     report = C2Report(k_values=ks, sup_dev=sup0, sup_d1=sup1, sup_d2=sup2, slopes=slopes)
     if strict and report.max_slope_error() > C2_SLOPE_TOL:
         raise C2CheckFailure(
-            f"decay slopes {slopes} deviate more than {C2_SLOPE_TOL} from {report.expected}",
-            report=report,
-        )
+            f"decay slopes {slopes} deviate more than {C2_SLOPE_TOL} from {report.expected}")
     return report
 
 
@@ -439,8 +437,5 @@ def replay(
         termination=termination,
     )
     if strict and (first_bad is not None or termination is not None):
-        raise ReplayFailure(
-            f"replay diverged (first bad k = {first_bad}, termination = {termination})",
-            first_bad_index=first_bad,
-        )
+        raise ReplayFailure(f"replay diverged (first bad k = {first_bad}, termination = {termination})")
     return report

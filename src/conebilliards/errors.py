@@ -20,25 +20,13 @@ class ConstructionError(RuntimeError):
 class C2CheckFailure(RuntimeError):
     """Measured decay exponents of the built curve fall outside tolerance."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ConvexityFailure(RuntimeError):
     """A Hessian eigenvalue failed the negative-definiteness check."""
 
-    def __init__(self, message: str, location=None):
-        super().__init__(message)
-        self.location = location
-
 
 class ReplayFailure(RuntimeError):
     """Simulated trajectory diverged from the closed-form vertices."""
-
-    def __init__(self, message: str, first_bad_index=None):
-        super().__init__(message)
-        self.first_bad_index = first_bad_index
 
 
 class TangencyWarning(UserWarning):

@@ -23,7 +23,7 @@ from .errors import DomainError, GrazingError, Termination
 UNIT_TOL = 1e-12          # |norm(dir) - 1| allowed for a Direction
 GRAZING_TOL = 1e-12       # |<v,n>| below this refuses to reflect
 T_MIN_FACTOR = 1e-9       # t_min = factor * |base| excludes the current vertex
-SCAN_FACTOR = 1e-2        # coarse-scan step as a fraction of the length scale
+BRACKET_LIMIT = 1e-2      # widest bracket around a predicted root, over |p|
 PREDICT_ROUNDS = 3        # frozen-rho quadric solves that predict a general-cone hit
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
@@ -388,12 +388,18 @@ def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
     (h0, e0), (h1, e1), (h2, e2) = _two_prod(p0, v0), _two_prod(p1, v1), _two_prod(p2, v2)
     bh, bl = _dd_add(*_dd_add(h0, e0 + l0 * v0, h1, e1 + l1 * v1), -h2, -e2 - l2 * v2)
     A0, B0, C0 = v0 * v0 + v1 * v1 - v2 * v2, bh + bl, ch + cl
+    # B^2 - 4AC in the form with the smaller terms: the plain one for a chord
+    # from the surface (B, C ~ 0), or by Lagrange's identity in the line's
+    # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC
+    m01, m02, m12 = p0 * v1 - p1 * v0, p0 * v2 - p2 * v0, p1 * v2 - p2 * v1
+    m_sq = m02 * m02 + m12 * m12
+    lagrange = B0 * B0 + abs(A0 * C0) > m_sq + m01 * m01
     x, y, t = p0, p1, None
     for _ in range(PREDICT_ROUNDS):
         dev = float(cone.deviation(math.atan2(y, x))[0])
         d = 2.0 * dev + dev * dev  # rho^2 - 1
         A, B, C = A0 - v2 * v2 * d, 2.0 * (B0 - p2 * v2 * d), C0 - z2h * d
-        disc = B * B - 4.0 * A * C
+        disc = 4.0 * (m_sq - m01 * m01 + d * m_sq) if lagrange else B * B - 4.0 * A * C
         if disc < 0.0:
             return None
         q = -0.5 * (B + math.copysign(math.sqrt(disc), B))  # elliptic's stable q-form
@@ -420,50 +426,19 @@ def _bisect(gap, lo: float, g_lo: float, hi: float, g_hi: float) -> float:
             hi, g_hi = mid, g_mid
 
 
-def _scan_root(gap, t_min: float, scale: float) -> Union[float, Termination]:
-    """The fallback root search: walk off the surface from t_min, scan for
-    the exit in steps of SCAN_FACTOR * scale, and bisect the bracket."""
-    lo = t_min
-    g_lo = gap(lo)
-    # The base may sit on the surface (post-reflection): walk forward until
-    # strictly inside before hunting for the exit crossing.
-    budget = 64
-    while g_lo >= 0.0 and budget > 0:
-        lo_new = lo * 8.0
-        g_new = gap(lo_new)
-        if g_new >= g_lo and lo_new > 64 * t_min:
-            break
-        lo, g_lo = lo_new, g_new
-        budget -= 1
-    if g_lo >= 0.0:
-        return Termination.NO_BRACKET  # no point strictly inside to start from
-
-    step = SCAN_FACTOR * scale
-    hi = lo + step
-    g_hi = gap(hi)
-    scans = 0
-    while g_hi < 0.0:
-        lo, g_lo = hi, g_hi
-        scans += 1
-        # uniform scan near the base, then geometric growth for far exits
-        hi = lo + step if scans < 256 else lo * 2.0
-        if hi > 1e12 * scale:
-            return Termination.NO_BRACKET  # _escapes said the ray comes back
-        g_hi = gap(hi)
-    return _bisect(gap, lo, g_lo, hi, g_hi)
-
-
 def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
                    v: np.ndarray) -> Union[float, Termination]:
     """Root t of the surface crossing; ESCAPED when the ray never returns,
-    NO_BRACKET when the search finds no sign change to bisect.
+    APEX or NO_BRACKET when the search finds no sign change to bisect.
 
     A bracket widened one-sidedly from the predicted root (4 ulps, x4 a
     round) until the compensated gap changes sign is bisected to adjacent
     floats.  The solid cone is convex, so every bracket holds the same one
     crossing; only where the gap is rounding noise a few ulps around it can
-    two brackets end on neighbouring floats.  No prediction, or a bracket
-    reaching t_min or SCAN_FACTOR * scale, falls back to _scan_root."""
+    two brackets end on neighbouring floats.  With no prediction, or a
+    bracket reaching t_min or BRACKET_LIMIT * scale, a ray whose closest
+    approach to the origin lies ahead and near the apex ends APEX, any
+    other NO_BRACKET."""
     scale = max(math.sqrt(p.dot(p)), 1e-12)  # np.linalg.norm's bits
     t_min = T_MIN_FACTOR * scale
     pl, tl, vl = p.tolist(), p_tail.tolist(), v.tolist()
@@ -474,7 +449,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     if t is not None:
         g = gap(t)
         side, width = (1.0 if g < 0.0 else -1.0), 4.0 * math.ulp(t)  # inside: the exit is ahead
-        while width <= SCAN_FACTOR * scale:
+        while width <= BRACKET_LIMIT * scale:
             end = t + side * width
             if end <= t_min:
                 break
@@ -484,7 +459,9 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
                 return _bisect(gap, lo, g_lo, hi, g_hi)
             t, g = end, g_end
             width *= 4.0
-    return _scan_root(gap, t_min, scale)
+    t = -sum(map(mul, pl, vl))  # the closest approach to the apex
+    near = t > 0.0 and near_apex(math.hypot(*(x + t * y for x, y in zip(pl, vl))), scale)
+    return Termination.APEX if near else Termination.NO_BRACKET
 
 
 def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,

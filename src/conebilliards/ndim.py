@@ -180,8 +180,8 @@ def negdef_check(
 ) -> NegdefReport:
     """Hessian eigenvalue sweep plus the scalar margin f1 f1'' + f1'^2 < 0.
 
-    Raises ConvexityFailure (with the offending location) on any
-    non-negative eigenvalue when strict.
+    Raises ConvexityFailure, naming the point of the largest eigenvalue, on
+    any non-negative or NaN eigenvalue when strict.
     """
     m = section.n - 2
     pts = _disk_grid(m, grid_target)
@@ -209,11 +209,9 @@ def negdef_check(
         window_f1p_range=(float(fp[win].min()), float(fp[win].max())),
         window_f1_range=(float(f[win].min()), float(f[win].max())),
     )
-    if strict and (failures or worst >= 0.0):
+    if strict and not worst < 0.0:  # a NaN eigenvalue fails too
         raise ConvexityFailure(
-            f"Hessian not negative definite: max eigenvalue {worst}",
-            location=failures[0] if failures else None,
-        )
+            f"Hessian not negative definite: max eigenvalue {worst} at y = {pts[worst_idx].tolist()}")
     return report
 
 

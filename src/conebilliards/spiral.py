@@ -127,7 +127,7 @@ class TailTable:
 
     def tail(self, k) -> np.ndarray:
         k = np.asarray(k)
-        if np.any(k < 1) or np.any(k > self.kmax + 1):
+        if (k < 1).any() or (k > self.kmax + 1).any():
             raise DomainError(f"tail table covers k in [1, {self.kmax + 1}]")
         return self.S[k - 1]
 
@@ -265,9 +265,9 @@ class SpiralTrajectory:
     def _check_k(self, k, lo=None):
         k = np.asarray(k)
         low = self.k0 if lo is None else lo
-        if np.any(k < low):
+        if (k < low).any():
             raise DomainError(f"k must be >= {low} for a = {self.a}")
-        if np.any(k > self.kmax):
+        if (k > self.kmax).any():
             raise DomainError(f"k exceeds the table kmax = {self.kmax}")
 
     def t(self, k):
@@ -276,8 +276,7 @@ class SpiralTrajectory:
 
     def vertex(self, k):
         """p_k = t_k (cos xi_k, sin xi_k, 1); shape (..., 3)."""
-        self._check_k(k)
-        t = self.t(k)
+        t = self.t(k)  # which checks k
         x = xi(k)
         return np.stack([t * np.cos(x), t * np.sin(x), t * np.ones_like(x)], axis=-1)
 

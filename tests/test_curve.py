@@ -9,7 +9,7 @@ import pytest
 from conebilliards.errors import (
     C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination,
 )
-from conebilliards import curve as curve_module, geometry, spiral
+from conebilliards import curve as curve_module, spiral
 from conebilliards.curve import (
     SAMPLES_PER_WINDOW,
     SIGMA_DOMAIN,
@@ -549,18 +549,15 @@ class _CountingSection:
         return 1.0 + d, d1, d2
 
 
-def test_replay_section_evaluations_per_step(built_curve, monkeypatch):
+def test_replay_section_evaluations_per_step(built_curve):
     # the predicted root costs 2.3 section evaluations a step here: 8.0
-    # before the cone kept its last one, 60.6 by the scan and a bisection
-    # from 1e-2 |p|; the scan never runs
+    # before the cone kept its last one, 60.6 by a scan and a bisection
+    # from 1e-2 |p|, so a step that searched any other way would show
     section = _CountingSection(built_curve)
-    scans = []
-    scan_root = geometry._scan_root
-    monkeypatch.setattr(geometry, "_scan_root", lambda *a: scans.append(a) or scan_root(*a))
     rep = replay(section, SpiralParams(a=0.0), steps=100, strict=True)
     assert rep.start_k == built_curve.k1 + 1
+    assert rep.termination is None
     assert section.calls <= 3 * 100
-    assert scans == []
 
 
 def test_replay_grazing_termination(built_curve, second_reflection_grazes):

@@ -1,7 +1,6 @@
 import math
 import struct
 import warnings
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +27,8 @@ from conebilliards.geometry import (
     wedge_reflection_count,
 )
 from conebilliards.spiral import SpiralTrajectory
+
+import scan_root_reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -426,9 +427,59 @@ def test_circular_cone_axis_escape(circular_cone):
     assert _step(circular_cone, line) is Termination.ESCAPED
 
 
-def test_circular_cone_apex(circular_cone):
-    line = OrientedLine([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-    assert _step(circular_cone, line) is Termination.APEX
+_APEX_BASES = {"axis": [0.0, 0.0, 1.0], "off-axis": [0.3, -0.2, 1.0], "low": [0.0, 0.5, 0.7],
+               "high": [1e-3, 2e-3, 3.0], "near-wall": [0.7, 0.0, 1.0], "far": [-40.0, 25.0, 80.0]}
+
+
+@pytest.mark.parametrize("section, base", [("circle", b) for b in _APEX_BASES] + [("c2", "off-axis")])
+def test_circular_cone_apex(circular_cone, built_curve, section, base):
+    # rays aimed at the origin: some have no predicted root, others a root
+    # within rounding of the apex; both end APEX
+    cone = circular_cone if section == "circle" else GeneralCone(built_curve)
+    p = np.array(_APEX_BASES[base])
+    assert _step(cone, OrientedLine(p, unit(-p))) is Termination.APEX
+
+
+@pytest.mark.parametrize("base", _APEX_BASES.values(), ids=_APEX_BASES.keys())
+def test_ray_missing_the_apex_reflects(circular_cone, base):
+    # aimed 4 APEX_TOL |p| beside the apex, the ray passes too far from it
+    # to end APEX; the plain discriminant cancels to noise there, so the
+    # predictor must take its Lagrange form to find the hit the oracle finds
+    p = np.array(base)
+    aside = np.cross(p, [0.3, 1.0, 0.2])
+    line = OrientedLine(p, unit(4.0 * APEX_TOL * np.linalg.norm(p) * unit(aside) - p))
+    t = _circular_root(p, line.dir)
+    stepped = _step(circular_cone, line)
+    assert isinstance(stepped, tuple), stepped
+    hit = stepped[0]
+    size = float(np.linalg.norm(hit))
+    eps = np.finfo(float).eps
+    assert size > APEX_TOL * max(1.0, float(np.linalg.norm(p)))
+    assert abs(hit[0] ** 2 + hit[1] ** 2 - hit[2] ** 2) <= 8.0 * eps * size * (size + t)
+    assert abs(float(np.dot(hit - p, line.dir)) - t) <= 1e-12 * t
+
+
+def test_no_ray_that_hits_ends_no_bracket(circular_cone):
+    # seeded rays from inside: half in random directions, half aimed beside
+    # the apex at 1e-11..1e-6 |p|, where the root search has the least room
+    rng = np.random.Generator(np.random.Philox(8111))
+    endings = {}
+    for i in range(5000):
+        z = rng.uniform(0.5, 2.0)
+        r = 0.95 * z * math.sqrt(rng.uniform())
+        phi = rng.uniform(-math.pi, math.pi)
+        p = np.array([r * math.cos(phi), r * math.sin(phi), z])
+        if i % 2:
+            aside = unit(np.cross(p, rng.normal(size=3)))
+            v = unit(10.0 ** rng.uniform(-11.0, -6.0) * np.linalg.norm(p) * aside - p)
+        else:
+            v = unit(rng.normal(size=3))
+        stepped = _step(circular_cone, OrientedLine(p, v))
+        ending = "hit" if isinstance(stepped, tuple) else stepped
+        if _circular_root(p, v) is not None:
+            assert ending is not Termination.NO_BRACKET, (p, v)
+        endings[ending] = endings.get(ending, 0) + 1
+    assert endings.keys() == {"hit", Termination.ESCAPED, Termination.APEX}, endings
 
 
 @pytest.mark.parametrize("base, direction", [
@@ -476,17 +527,16 @@ def test_cone_step_matches_circular_oracle(circular_cone, z, s, phi, beta, psi):
 
 
 def _fallback_root(cone, p, p_tail, v):
-    """The scan-plus-bisection route on its own: the fast path's oracle."""
+    """The frozen scan-plus-bisection route: the predicted root's oracle."""
     scale = max(float(np.linalg.norm(p)), 1e-12)
     gap = geometry._make_gap(cone, p, p_tail, v)
-    return geometry._scan_root(gap, T_MIN_FACTOR * scale, scale)
+    return scan_root_reference.scan_root(gap, T_MIN_FACTOR * scale, scale)
 
 
 def _predicted_root(cone, p, p_tail, v):
-    """_intersect_ray's root, asserting it came from the predicted bracket."""
-    with mock.patch.object(geometry, "_scan_root", wraps=geometry._scan_root) as scan:
-        t = geometry._intersect_ray(cone, p, p_tail, v)
-    assert scan.call_count == 0, "the prediction fell back to the scan"
+    """_intersect_ray's root, asserting it found one."""
+    t = geometry._intersect_ray(cone, p, p_tail, v)
+    assert isinstance(t, float), f"the predicted bracket found no root: {t}"
     return t
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conebilliards import curve as curve_module
-from conebilliards.errors import DomainError
+from conebilliards.errors import ConvexityFailure, DomainError
 from conebilliards.ndim import (
     LiftedSection,
     _disk_grid,
@@ -191,6 +191,24 @@ def test_negdef_report(section4):
     d = json.loads(json.dumps(asdict(rep)))
     assert d["n"] == 4 and d["max_eigenvalue"] == rep.max_eigenvalue
     assert d["window_f1_range"] == list(rep.window_f1_range)
+
+
+@pytest.mark.parametrize("spoil", [-1.0, math.nan])
+def test_negdef_failure_names_the_point(built_curve, monkeypatch, spoil):
+    # the CLI prints only the message, so it must say where the check failed;
+    # a Hessian made positive definite or NaN at the eighth grid point fails
+    section = LiftedSection(built_curve, n=4)
+    real = section.hessian_batch
+
+    def spoiled(Y):
+        H = real(Y)
+        H[7] *= spoil
+        return H
+
+    monkeypatch.setattr(section, "hessian_batch", spoiled)
+    with pytest.raises(ConvexityFailure) as failure:
+        negdef_check(section, grid_target=500, strict=True)
+    assert f"at y = {_disk_grid(2, 500)[7].tolist()}" in str(failure.value)
 
 
 # every NegdefReport field with the Newton inversion of the profile: sha256
