@@ -334,16 +334,12 @@ def _curve_table(curve, grid: int) -> dict:
 
 
 def _curve_svg(curve) -> str:
-    # main panel: gamma vs the unit circle with q_k markers
+    # main panel: gamma vs the unit circle
     main = svgplot.SvgCanvas(560, 560, (-1.25, 1.25), (-1.25, 1.25))
     ang = np.linspace(-math.pi, math.pi, 2048)
     main.polyline(np.stack([np.cos(ang), np.sin(ang)], axis=-1), stroke="#999999", dashed=True)
     r = np.asarray(curve.polar(ang)[0])
     main.polyline(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1), stroke="#1f77b4")
-    for k in range(max(2, curve.k1 - 3), min(curve.kmax, 40)):
-        x = float(spiral.xi(k))
-        rho_k = float(curve.polar(x)[0])
-        main.circle_marker(rho_k * math.cos(x), rho_k * math.sin(x), r=2.0)
     main.text(-1.2, 1.15, "section curve vs unit circle", size=14)
 
     # zoom panel: deviation rho - 1 near xi = 0, log-x

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
-from .geometry import GeneralCone, _dots, angular_momenta, cone_step_precise
+from .geometry import (GeneralCone, _dots, angular_momenta, cone_step_precise,
+                       project_to_surface)
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
 
@@ -385,9 +386,9 @@ def replay(
     start_k: Optional[int] = None,
     strict: bool = True,
 ) -> ReplayReport:
-    """Run the generic cone stepper on the built cone and compare every hit
-    against the closed-form vertices; a relative vertex error above
-    VERTEX_TOL counts as divergence."""
+    """Run the generic cone stepper on the built cone from the closed-form
+    vertex projected onto it and compare every hit against the closed-form
+    vertices; a relative vertex error above VERTEX_TOL counts as divergence."""
     if steps < 1 or steps > 10_000:
         raise DomainError("steps must lie in [1, 10000]")
     traj = SpiralTrajectory(params.a, kmax=max(curve.kmax, 1000))
@@ -399,7 +400,8 @@ def replay(
                           f"runs past the curve's kmax = {curve.kmax}")
     cone = GeneralCone(curve)
     line = traj.line(k_start)
-    bases, tail, dirs = [line.base], np.zeros(3), [line.dir]
+    base, tail = project_to_surface(cone, line.base)
+    bases, dirs = [base], [line.dir]
     termination = None
     for _ in range(steps):
         stepped = cone_step_precise(cone, bases[-1], tail, dirs[-1])

@@ -59,23 +59,16 @@ class EllipticCone:
         x0, x1, x2 = np.asarray(x, dtype=float).tolist()
         return (x0 / self.a) ** 2 + (x1 / self.b) ** 2 - x2 ** 2
 
-    def gradient(self, x) -> np.ndarray:
-        return np.array(self._gradient(*np.asarray(x, dtype=float).tolist()))
-
-    def _gradient(self, x0: float, x1: float, x2: float) -> list:
+    def gradient(self, x) -> list:
+        """grad Q at a point given as a 3-sequence, as Python floats."""
+        x0, x1, x2 = map(float, x)
         return [2.0 * x0 / self.a**2, 2.0 * x1 / self.b**2, -2.0 * x2]
 
-    def _surface_point(self, phi: float, t: float) -> list:
+    def surface_point(self, phi: float, t: float = 1.0) -> list:
         return [t * (self.a * math.cos(phi)), t * (self.b * math.sin(phi)), float(t)]
 
-    def surface_point(self, phi: float, t: float = 1.0) -> np.ndarray:
-        return np.array(self._surface_point(phi, t))
-
-    def inward_normal(self, x) -> np.ndarray:
-        return np.array(self._inward_normal(*np.asarray(x, dtype=float).tolist()))
-
-    def _inward_normal(self, x0: float, x1: float, x2: float) -> list:
-        return _normalized(np.array([-g for g in self._gradient(x0, x1, x2)]))
+    def inward_normal(self, x) -> list:
+        return _normalized(np.array([-g for g in self.gradient(x)]))
 
     def section_angle(self, x) -> float:
         """Elliptic parameter angle of a surface point: x = t(a cos, b sin, 1)."""
@@ -171,19 +164,9 @@ def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
     return float(total)
 
 
-def next_intersection(cone: EllipticCone, p: np.ndarray,
-                      v: np.ndarray) -> Union[np.ndarray, Termination]:
-    """Closed-form first hit of the ray p + t v with the surface, or ESCAPED
-    or APEX: ``_next_hit`` on the arrays' Python floats."""
-    if p.size != 3:
-        raise DomainError("elliptic stepping lives in R^3")
-    hit = _next_hit(cone, *p.tolist(), *v.tolist())
-    return hit if isinstance(hit, Termination) else np.array(hit)
-
-
-def _next_hit(cone: EllipticCone, p0: float, p1: float, p2: float,
-              v0: float, v1: float, v2: float) -> Union[list, Termination]:
-    """The hit of ``next_intersection`` as three Python floats.
+def next_intersection(cone: EllipticCone, p, v) -> Union[list, Termination]:
+    """Closed-form first hit of the ray p + t v with the surface, as three
+    Python floats, or ESCAPED or APEX; p and v are 3-sequences.
 
     Substituting the ray into Q gives A t^2 + B t + C; of the roots, taken
     through the stable q-form, the first counts that lies above t_min, is
@@ -192,6 +175,7 @@ def _next_hit(cone: EllipticCone, p0: float, p1: float, p2: float,
     runs on Python floats, with x ** 2 kept as the libm pow that numpy
     scalars call: x * x rounds differently.
     """
+    (p0, p1, p2), (v0, v1, v2) = map(float, p), map(float, v)
     a2, b2 = cone.a**2, cone.b**2
     A = v0 ** 2 / a2 + v1 ** 2 / b2 - v2 ** 2
     B = 2.0 * (p0 * v0 / a2 + p1 * v1 / b2 - p2 * v2)
@@ -282,12 +266,12 @@ def run(
     p, v = bases[0], dirs[0].tolist()
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
-        hit = _next_hit(cone, *p, *v)
+        hit = next_intersection(cone, p, v)
         if isinstance(hit, Termination):
             termination = hit
             break
         try:
-            out = reflect_direction(dirs[-1], cone._gradient(*hit))
+            out = reflect_direction(dirs[-1], cone.gradient(hit))
         except GrazingError:
             termination = Termination.GRAZING
             break
@@ -390,8 +374,8 @@ def sample_start(cone: EllipticCone, rng: np.random.Generator) -> OrientedLine:
     Python floats is the only check of its base and direction."""
     phi = rng.uniform(0.0, 2.0 * math.pi)
     t = rng.uniform(0.5, 2.0)
-    base = cone._surface_point(phi, t)
-    n_in = np.array(cone._inward_normal(*base))
+    base = cone.surface_point(phi, t)
+    n_in = np.array(cone.inward_normal(base))
     while True:
         v = rng.normal(size=3)
         norm = math.sqrt(v.dot(v))  # np.linalg.norm's bits

@@ -25,6 +25,7 @@ GRAZING_TOL = 1e-12       # |<v,n>| below this refuses to reflect
 T_MIN_FACTOR = 1e-9       # t_min = factor * |base| excludes the current vertex
 BRACKET_LIMIT = 1e-2      # widest bracket around a predicted root, over |p|
 PREDICT_ROUNDS = 3        # frozen-rho quadric solves that predict a general-cone hit
+PROJECT_ROUNDS = 4        # Newton steps of project_to_surface
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
 
@@ -372,6 +373,21 @@ def _make_gap(cone: GeneralCone, p, p_tail, v):
         return (nh + nl) - z2h * (2.0 * dev + dev * dev)
 
     return gap
+
+
+def project_to_surface(cone: GeneralCone, p) -> tuple:
+    """p moved onto the surface along the unit normal N/|N|, N = normal_at(p),
+    as the compensated pair (p, p_tail): Newton steps on the compensated gap,
+    whose slope is -2 z |N| (on the surface grad(r^2 - z^2 rho^2) = -2 z N)."""
+    pl, zero = [float(x) for x in p], [0.0, 0.0, 0.0]
+    n = cone.normal_at(pl)
+    norm = math.sqrt(n.dot(n))
+    nl = (n / norm).tolist()
+    gap, s = _make_gap(cone, pl, zero, nl), 0.0
+    for _ in range(PROJECT_ROUNDS):
+        s += gap(s) / (2.0 * pl[2] * norm)
+    hl, tl = zip(*map(_dd_ray_coord, pl, zero, (s,) * 3, nl))
+    return np.array(hl), np.array(tl)
 
 
 def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,

@@ -182,10 +182,6 @@ class SpiralParams:
         if not (-HALF_PI < self.a <= HALF_PI):
             raise DomainError("parameter a must lie in (-pi/2, pi/2]")
 
-    @property
-    def k0(self) -> int:
-        return k0(self.a)
-
 
 @dataclass(frozen=True)
 class NormalFrame:

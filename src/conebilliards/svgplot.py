@@ -34,10 +34,6 @@ class SvgCanvas:
             f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width}"{dash}/>'
         )
 
-    def circle_marker(self, x: float, y: float, r: float = 2.0, fill: str = "#d62728") -> None:
-        sx, sy = self._map(x, y)
-        self.elements.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="{r}" fill="{fill}"/>')
-
     def text(self, x: float, y: float, s: str, size: int = 12) -> None:
         sx, sy = self._map(x, y)
         self.elements.append(

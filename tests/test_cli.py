@@ -330,6 +330,13 @@ def test_curve_build_and_export(tmp_path):
         assert len(exp1.read_text().splitlines()) == grid + 1
 
 
+def test_curve_svg_pinned(tmp_path):
+    # every byte of the default build's figure, as first recorded
+    assert main(["curve", "build", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "curve.svg").read_bytes()).hexdigest() == (
+        "f888b82dd83abf3b77b85b63bee4c79b756895fcc09235eb9243c67cf60ad5c4")
+
+
 def test_curve_build_k1_min_beyond_near_windows(tmp_path):
     rep = tmp_path / "rep.json"
     assert main(["curve", "build", "--k1-min", "5000", "--kmax", "20000",

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from conebilliards.curve import (
     replay,
     sign_change_census,
 )
-from conebilliards.geometry import GeneralCone, cone_step_precise
+from conebilliards.geometry import GeneralCone, _make_gap, cone_step_precise, project_to_surface
 from conebilliards.spiral import SpiralParams, SpiralTrajectory, normal_w
 
 import curve_array_reference as reference
@@ -528,6 +529,44 @@ def test_deep_replay_states_pinned(built_curve, k, expected):
         for part in state:
             digest.update(part.tobytes())
     assert digest.hexdigest() == expected
+
+
+def _mp_vertex(k: int) -> list:
+    """p_k at a = 0 from a 30-digit S_k, with the tail summed as in
+    test_tail_table_against_mpmath_oracle."""
+    def term(i):
+        d = 1 / (mp.sqrt(i * (i + 1)) * (mp.sqrt(i) + mp.sqrt(i + 1)))
+        return 2 * mp.asin(mp.sin(d / 2) / mp.sqrt(2)) - d / mp.sqrt(2)
+
+    s = 1 / mp.sqrt(2 * k) + mp.nsum(term, [k, mp.inf])
+    t, x = 1 / mp.cos(s), 1 / mp.sqrt(k)
+    return [t * mp.cos(x), t * mp.sin(x), t]
+
+
+@pytest.mark.parametrize("k", [
+    100, 300, 1_000, 3_000, 10_000, 30_000, 50_000, 90_839, 100_000, 120_000,
+])
+def test_projected_start_against_mpmath_oracle(built_curve, k):
+    # the float closed-form vertex moved onto the built surface: its
+    # compensated gap is at rounding level of the double-double pair, and the
+    # first step from it lands on the 30-digit next vertex
+    cone = GeneralCone(built_curve)
+    line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
+    p, p_tail = project_to_surface(cone, line.base)
+    assert abs(_make_gap(cone, p, p_tail, line.dir)(0.0)) <= 1e-30 * float(p.dot(p))
+    hit, hit_tail, _ = cone_step_precise(cone, p, p_tail, line.dir)
+    with mp.workdps(30):
+        ref = _mp_vertex(k + 1)
+        miss = [mp.mpf(float(h)) + mp.mpf(float(l)) - r for h, l, r in zip(hit, hit_tail, ref)]
+        rel = float(mp.sqrt(mp.fsum(m * m for m in miss) / mp.fsum(r * r for r in ref)))
+    assert rel <= 5e-16
+
+
+def test_replay_starts_where_the_plain_start_found_no_bracket(built_curve):
+    # from the float vertex at k = 90 839 the first step ended NO_BRACKET
+    rep = replay(built_curve, SpiralParams(a=0.0), steps=50, start_k=90_839, strict=True)
+    assert rep.termination is None
+    assert rep.max_vertex_rel_error < 1e-12
 
 
 class _CountingSection:

@@ -196,7 +196,7 @@ def test_next_intersection_exit_root_mp_oracle(a, b):
     # so short a chord to ~1e-3 of its length; the entry is off by all of it.
     for _ in range(200):
         p = cone.surface_point(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 2.0))
-        n_in = cone.inward_normal(p)
+        n_in = np.array(cone.inward_normal(p))
         v = unit(unit(np.cross(n_in, rng.normal(size=3))) + 10.0 ** rng.uniform(-7, -4) * n_in)
         hit, ref = next_intersection(cone, p, v), _mp_exit_hit(cone, p, v)
         if ref is None:
@@ -225,6 +225,29 @@ def test_run_validates_at_most_twice_per_reflection(cone, monkeypatch):
         attempts += len(log.vertices) + (log.termination is Termination.GRAZING)
     assert attempts > len(starts)
     assert len(calls) <= 2 * attempts
+
+
+def test_run_steps_through_next_intersection(cone, monkeypatch):
+    # run looks the step up on the module, so a wrapper set there sees every
+    # step: one per reflection and the one that ended the trajectory
+    rng = np.random.default_rng(12)
+    starts = [sample_start(cone, rng) for _ in range(50)]
+    real = elliptic.next_intersection
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(elliptic, "next_intersection", counting)
+    reflections = 0
+    for line0 in starts:
+        calls.clear()
+        log = run(cone, line0, started_on_surface=True)
+        assert log.termination in (Termination.ESCAPED, Termination.APEX)
+        assert len(calls) == len(log.vertices) + 1
+        reflections += len(log.vertices)
+    assert reflections > len(starts)
 
 
 def test_run_planar_stays_planar(cone):

@@ -219,7 +219,7 @@ def test_params_validation():
         SpiralParams(a=-math.pi / 2)
     with pytest.raises(DomainError):
         SpiralParams(a=math.pi / 2 + 1e-9)
-    assert SpiralParams(a=math.pi / 2).k0 == 1
+    assert k0(SpiralParams(a=math.pi / 2).a) == 1
 
 
 def test_vertex_limit_point():
