@@ -395,9 +395,9 @@ def replay(
     k_start = start_k if start_k is not None else max(curve.k1 + 1, traj.k0)
     if k_start <= curve.k1:
         raise DomainError("replay must start above the flat-start index k1")
-    if k_start + steps - 1 > curve.kmax:
-        raise DomainError(f"replay range k = {k_start}..{k_start + steps - 1} "
-                          f"runs past the curve's kmax = {curve.kmax}")
+    last = min(curve.kmax + 1, traj.kmax)  # sigma fixes q_k to kmax + 1, the vertex table to its kmax
+    if k_start + steps > last:
+        raise DomainError(f"replay compares vertices {k_start + 1}..{k_start + steps}, past k = {last}")
     cone = GeneralCone(curve)
     line = traj.line(k_start)
     base, tail = project_to_surface(cone, line.base)

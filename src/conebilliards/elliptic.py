@@ -25,7 +25,6 @@ from .geometry import (
     OrientedLine,
     _normalized,
     angle_between,
-    angular_momenta,
     near_apex,
     reflect_direction,
     unit,
@@ -324,15 +323,6 @@ def chord_angle_sin_sq(cone: EllipticCone, I1: float, I2: float, m12: float) -> 
 def m12_sq_max(cone: EllipticCone, I1: float, I2: float) -> float:
     """Upper bound (a^2 I1 - I2)/(a^2 + 1) on m12^2 at fixed integrals."""
     return (cone.a**2 * I1 - I2) / (cone.a**2 + 1.0)
-
-
-def angle_to_integral_residual(cone: EllipticCone, line: OrientedLine, hit: np.ndarray) -> float:
-    """cos(xi2 - xi1) - (2 m12^2/(m12^2 + I2) - 1) for the chord base->hit."""
-    m12 = angular_momenta(line.base, line.dir)[0]
-    I2 = integral_pair(cone, line).I2
-    xi1 = cone.section_angle(line.base)
-    xi2 = cone.section_angle(hit)
-    return math.cos(xi2 - xi1) - (2.0 * m12**2 / (m12**2 + I2) - 1.0)
 
 
 def caustic_tangency_residual(

@@ -127,18 +127,6 @@ def angular_momenta(x, v) -> np.ndarray:
     return out
 
 
-def line_distance_sq(line: OrientedLine) -> float:
-    """Squared distance of the line to the origin as sum of m_ij^2."""
-    m = angular_momenta(line.base, line.dir)
-    return float(np.dot(m, m))
-
-
-def projected_distance_sq(line: OrientedLine) -> float:
-    """The same distance via |x|^2 - <x, v>^2 (independent route)."""
-    x, v = line.base, line.dir
-    return float(np.dot(x, x) - np.dot(x, v) ** 2)
-
-
 def reflect_direction(v, normal) -> np.ndarray:
     """Specular reflection v - 2<v,n>n of a unit v, renormalized; n is
     ``normal`` normalized, so any nonzero length will do.
@@ -225,36 +213,6 @@ def simulate_wedge(theta: float, base, direction) -> int:
     raise RuntimeError("wedge simulation did not terminate")
 
 
-@dataclass
-class AlphaThetaReport:
-    """Residuals of the alpha recurrence and of |p| sin(alpha) = dist(l, O)."""
-
-    alpha: np.ndarray
-    radius: np.ndarray
-
-
-def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
-    """alpha_{k+1} - (alpha_k - theta_k) for consecutive reflections, plus
-    the per-reflection residual |p_k| sin(alpha_k) - dist(l_k, O).
-
-    Row k of the (n, 3) arrays is the vertex p_k and the direction leaving
-    it; alpha_k is the angle of that direction to the radius of p_k and
-    theta_k the apex angle between p_k and p_{k+1}.
-    """
-    p = np.asarray(vertices, dtype=float)
-    v = np.asarray(outgoing, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3 or p.shape != v.shape:
-        raise DomainError("need (n, 3) vertex and outgoing-direction arrays")
-    if len(p) < 2:
-        raise DomainError("need at least two consecutive reflections")
-    radial = unit(p)
-    alphas = angle_between(v, radial)
-    res_alpha = alphas[1:] - (alphas[:-1] - angle_between(radial[:-1], radial[1:]))
-    m = angular_momenta(p, v)
-    res_radius = np.sqrt(_dots(p, p)) * np.sin(alphas) - np.sqrt(_dots(m, m))
-    return AlphaThetaReport(alpha=res_alpha, radius=res_radius)
-
-
 # ---------------------------------------------------------------------------
 # Cones over a polar section curve in the plane x3 = 1
 # ---------------------------------------------------------------------------
@@ -262,41 +220,35 @@ def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
 # Compensated (double-double) scalars for the ray/surface gap.  The gap
 # x^2 + y^2 - z^2 rho^2 cancels to ~eps * |p|^2 in plain float64, which
 # feeds a per-reflection position noise of eps/<v,n> -- fatal for long
-# grazing runs.  Splitting keeps the cancellation exact.
+# grazing runs.  Splitting keeps the cancellation exact.  The kernels below
+# write Dekker's two-sum and two-product out in line, operation for operation:
+#   two_sum(a, b) = (s, (a - (s - c)) + (b - c)), s = a + b, c = s - a
+#   two_prod(a, b) = (a b, ((ah bh - a b) + ah bl + al bh) + al bl)
+# with each factor split as ah = c - (c - a), c = _SPLITTER a, al = a - ah.
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_ray_coord(p: float, p_tail: float, t: float, v: float):
-    h, l = _two_prod(t, v)
-    s, e = _two_sum(p, h)
-    return _two_sum(s, e + l + p_tail)
-
-
-def _dd_sq(h: float, l: float):
-    p, e = _two_prod(h, h)
-    return _two_sum(p, e + 2.0 * h * l)
-
-
-def _dd_add(ah: float, al: float, bh: float, bl: float):
-    s, e = _two_sum(ah, bh)
-    return _two_sum(s, e + al + bl)
+def _ray_point(p: list, p_tail: list, t: float, v: list) -> tuple:
+    """The compensated point p + p_tail + t v as lists of heads and tails: per
+    coordinate two_sum(s, e + l + p_tail), (s, e) = two_sum(p, h) and
+    (h, l) = two_prod(t, v)."""
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
+    c = _SPLITTER * t
+    th = c - (c - t)
+    tl = t - th
+    c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
+    u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)
+    w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
+    hx, hy, hz = t * v0, t * v1, t * v2
+    sx, sy, sz = p0 + hx, p1 + hy, p2 + hz
+    cx, cy, cz = sx - p0, sy - p1, sz - p2
+    rx = (p0 - (sx - cx)) + (hx - cx) + (((th * u0 - hx) + th * w0 + tl * u0) + tl * w0) + l0
+    ry = (p1 - (sy - cy)) + (hy - cy) + (((th * u1 - hy) + th * w1 + tl * u1) + tl * w1) + l1
+    rz = (p2 - (sz - cz)) + (hz - cz) + (((th * u2 - hz) + th * w2 + tl * u2) + tl * w2) + l2
+    x, y, z = sx + rx, sy + ry, sz + rz
+    cx, cy, cz = x - sx, y - sy, z - sz
+    return [x, y, z], [(sx - (x - cx)) + (rx - cx), (sy - (y - cy)) + (ry - cy),
+                       (sz - (z - cz)) + (rz - cz)]
 
 
 @dataclass(frozen=True)
@@ -355,22 +307,57 @@ def _make_gap(cone: GeneralCone, p, p_tail, v):
     Negative strictly inside the solid cone, positive outside it, and +inf
     at or below the apex plane z <= 0, where the other nappe would give a
     spurious negative value.  ``p_tail`` is the double-double tail of the
-    base point (zero for a plain line).
+    base point (zero for a plain line).  v is split once per ray, t once
+    per call.
     """
     deviation = cone.deviation
-    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = (map(float, x) for x in (p, p_tail, v))
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = map(float, p), map(float, p_tail), map(float, v)
+    c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
+    u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)  # v = u + w, once per ray
+    w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
 
     def gap(t: float) -> float:
-        zh, zl = _dd_ray_coord(p2, l2, t, v2)
-        if zh <= 0.0:
+        c = _SPLITTER * t
+        th = c - (c - t)
+        tl = t - th
+        hx, hy, hz = t * v0, t * v1, t * v2
+        sx, sy, sz = p0 + hx, p1 + hy, p2 + hz
+        cx, cy, cz = sx - p0, sy - p1, sz - p2
+        rx = (p0 - (sx - cx)) + (hx - cx) + (((th * u0 - hx) + th * w0 + tl * u0) + tl * w0) + l0
+        ry = (p1 - (sy - cy)) + (hy - cy) + (((th * u1 - hy) + th * w1 + tl * u1) + tl * w1) + l1
+        rz = (p2 - (sz - cz)) + (hz - cz) + (((th * u2 - hz) + th * w2 + tl * u2) + tl * w2) + l2
+        x, y, z = sx + rx, sy + ry, sz + rz
+        if z <= 0.0:
             return math.inf
-        xh, xl = _dd_ray_coord(p0, l0, t, v0)
-        yh, yl = _dd_ray_coord(p1, l1, t, v1)
-        sh, sl = _dd_add(*_dd_sq(xh, xl), *_dd_sq(yh, yl))
-        z2h, z2l = _dd_sq(zh, zl)
-        nh, nl = _dd_add(sh, sl, -z2h, -z2l)
-        dev = float(deviation(math.atan2(yh, xh))[0])
-        return (nh + nl) - z2h * (2.0 * dev + dev * dev)
+        cx, cy, cz = x - sx, y - sy, z - sz
+        rx, ry = (sx - (x - cx)) + (rx - cx), (sy - (y - cy)) + (ry - cy)
+        rz = (sz - (z - cz)) + (rz - cz)
+        # squares two_sum(h h, e + 2 h l) with (h h, e) = two_prod(h, h)
+        cx, cy, cz = _SPLITTER * x, _SPLITTER * y, _SPLITTER * z
+        ax, ay, az = cx - (cx - x), cy - (cy - y), cz - (cz - z)
+        ex, ey, ez = x - ax, y - ay, z - az
+        qx, qy, qz = x * x, y * y, z * z
+        rx = ((ax * ax - qx) + ax * ex + ex * ax) + ex * ex + 2.0 * x * rx
+        ry = ((ay * ay - qy) + ay * ey + ey * ay) + ey * ey + 2.0 * y * ry
+        rz = ((az * az - qz) + az * ez + ez * az) + ez * ez + 2.0 * z * rz
+        sx, sy, sz = qx + rx, qy + ry, qz + rz
+        cx, cy, cz = sx - qx, sy - qy, sz - qz
+        ex, ey = (qx - (sx - cx)) + (rx - cx), (qy - (sy - cy)) + (ry - cy)
+        ez = (qz - (sz - cz)) + (rz - cz)
+        # (x^2 + y^2) - z^2, pairs summed as two_sum(s, e + al + bl), (s, e) = two_sum(ah, bh)
+        s = sx + sy
+        c = s - sx
+        r = (sx - (s - c)) + (sy - c) + ex + ey
+        h = s + r
+        c = h - s
+        e = (s - (h - c)) + (r - c)
+        s = h - sz
+        c = s - h
+        r = (h - (s - c)) + (-sz - c) + e - ez
+        h = s + r
+        c = h - s
+        dev = float(deviation(math.atan2(y, x))[0])
+        return (h + ((s - (h - c)) + (r - c))) - sz * (2.0 * dev + dev * dev)
 
     return gap
 
@@ -386,8 +373,56 @@ def project_to_surface(cone: GeneralCone, p) -> tuple:
     gap, s = _make_gap(cone, pl, zero, nl), 0.0
     for _ in range(PROJECT_ROUNDS):
         s += gap(s) / (2.0 * pl[2] * norm)
-    hl, tl = zip(*map(_dd_ray_coord, pl, zero, (s,) * 3, nl))
-    return np.array(hl), np.array(tl)
+    return tuple(map(np.array, _ray_point(pl, zero, s, nl)))
+
+
+def _predictor_head(p: list, p_tail: list, v: list) -> tuple:
+    """(B', C, z^2's head) of the ray's quadric x^2 + y^2 - z^2 = A t^2 + 2 B' t + C
+    along p + p_tail + t v.  C sums the squares of p + p_tail as the gap does,
+    B' the products p v with their tails l v likewise."""
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
+    c0, c1, c2 = _SPLITTER * p0, _SPLITTER * p1, _SPLITTER * p2
+    a0, a1, a2 = c0 - (c0 - p0), c1 - (c1 - p1), c2 - (c2 - p2)  # p = a + e
+    e0, e1, e2 = p0 - a0, p1 - a1, p2 - a2
+    c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
+    u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)  # v = u + w
+    w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
+    q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2
+    r0 = ((a0 * a0 - q0) + a0 * e0 + e0 * a0) + e0 * e0 + 2.0 * p0 * l0
+    r1 = ((a1 * a1 - q1) + a1 * e1 + e1 * a1) + e1 * e1 + 2.0 * p1 * l1
+    r2 = ((a2 * a2 - q2) + a2 * e2 + e2 * a2) + e2 * e2 + 2.0 * p2 * l2
+    s0, s1, z2 = q0 + r0, q1 + r1, q2 + r2
+    c0, c1, c2 = s0 - q0, s1 - q1, z2 - q2
+    r0, r1 = (q0 - (s0 - c0)) + (r0 - c0), (q1 - (s1 - c1)) + (r1 - c1)
+    r2 = (q2 - (z2 - c2)) + (r2 - c2)
+    s = s0 + s1
+    c = s - s0
+    r = (s0 - (s - c)) + (s1 - c) + r0 + r1
+    h = s + r
+    c = h - s
+    e = (s - (h - c)) + (r - c)
+    s = h - z2
+    c = s - h
+    r = (h - (s - c)) + (-z2 - c) + e - r2
+    h = s + r
+    c = h - s
+    C = h + ((s - (h - c)) + (r - c))
+    h0, h1, h2 = p0 * v0, p1 * v1, p2 * v2
+    f0 = ((a0 * u0 - h0) + a0 * w0 + e0 * u0) + e0 * w0 + l0 * v0
+    f1 = ((a1 * u1 - h1) + a1 * w1 + e1 * u1) + e1 * w1 + l1 * v1
+    f2 = -(((a2 * u2 - h2) + a2 * w2 + e2 * u2) + e2 * w2) - l2 * v2
+    s = h0 + h1
+    c = s - h0
+    r = (h0 - (s - c)) + (h1 - c) + f0 + f1
+    h = s + r
+    c = h - s
+    e = (s - (h - c)) + (r - c)
+    s = h - h2
+    c = s - h
+    r = (h - (s - c)) + (-h2 - c) + e + f2
+    h = s + r
+    c = h - s
+    return h + ((s - (h - c)) + (r - c)), C, z2
 
 
 def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
@@ -397,35 +432,36 @@ def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
     The base, its tail and the direction are Python floats.
     B and C are compensated like the gap: a plain C at a base on the
     surface is noise of size eps |p|^2, which moves the root by
-    eps (|p|/t)^2 relative (6e-4 at k = 1e4 on the witness cone)."""
-    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
-    z2h, z2l = _dd_sq(p2, l2)
-    ch, cl = _dd_add(*_dd_add(*_dd_sq(p0, l0), *_dd_sq(p1, l1)), -z2h, -z2l)
-    (h0, e0), (h1, e1), (h2, e2) = _two_prod(p0, v0), _two_prod(p1, v1), _two_prod(p2, v2)
-    bh, bl = _dd_add(*_dd_add(h0, e0 + l0 * v0, h1, e1 + l1 * v1), -h2, -e2 - l2 * v2)
-    A0, B0, C0 = v0 * v0 + v1 * v1 - v2 * v2, bh + bl, ch + cl
+    eps (|p|/t)^2 relative (6e-4 at k = 1e4 on the witness cone).
+    The search ends early when a round's t lies at the xi of that round:
+    the next round would see the same deviation and A, B, C again."""
+    (p0, p1, p2), (v0, v1, v2) = p, v
+    A0, (B0, C0, z2h) = v0 * v0 + v1 * v1 - v2 * v2, _predictor_head(p, p_tail, v)
     # B^2 - 4AC in the form with the smaller terms: the plain one for a chord
     # from the surface (B, C ~ 0), or by Lagrange's identity in the line's
     # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC
     m01, m02, m12 = p0 * v1 - p1 * v0, p0 * v2 - p2 * v0, p1 * v2 - p2 * v1
     m_sq = m02 * m02 + m12 * m12
     lagrange = B0 * B0 + abs(A0 * C0) > m_sq + m01 * m01
-    x, y, t = p0, p1, None
+    xi, t = math.atan2(p1, p0), None
     for _ in range(PREDICT_ROUNDS):
-        dev = float(cone.deviation(math.atan2(y, x))[0])
+        dev = float(cone.deviation(xi)[0])
         d = 2.0 * dev + dev * dev  # rho^2 - 1
         A, B, C = A0 - v2 * v2 * d, 2.0 * (B0 - p2 * v2 * d), C0 - z2h * d
         disc = 4.0 * (m_sq - m01 * m01 + d * m_sq) if lagrange else B * B - 4.0 * A * C
         if disc < 0.0:
             return None
         q = -0.5 * (B + math.copysign(math.sqrt(disc), B))  # elliptic's stable q-form
-        roots = ([q / A] if A != 0.0 else []) + ([C / q] if q != 0.0 else [])
-        # an exit only: the base's own crossing enters the cone
-        exits = [s for s in roots if s > t_min and p2 + s * v2 > 0.0 and 2.0 * A * s + B > 0.0]
-        if not exits:
+        # the smaller exit root (NaN: no root); the base's own crossing enters
+        s1, s2 = (q / A if A != 0.0 else math.nan), (C / q if q != 0.0 else math.nan)
+        exit1 = s1 > t_min and p2 + s1 * v2 > 0.0 and 2.0 * A * s1 + B > 0.0
+        exit2 = s2 > t_min and p2 + s2 * v2 > 0.0 and 2.0 * A * s2 + B > 0.0
+        s = s2 if exit2 and not (exit1 and s1 <= s2) else s1 if exit1 else None
+        if s is None:
             return None
-        t = min(exits)
-        x, y = p0 + t * v0, p1 + t * v1
+        xi, last, t = math.atan2(p1 + s * v1, p0 + s * v0), xi, s
+        if xi == last and xi != 0.0:  # same xi, dev and A, B, C (+-0.0 are two memo keys)
+            return t
     return t
 
 
@@ -443,9 +479,10 @@ def _bisect(gap, lo: float, g_lo: float, hi: float, g_hi: float) -> float:
 
 
 def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
-                   v: np.ndarray) -> Union[float, Termination]:
+                   v: np.ndarray, p_norm: Optional[float] = None) -> Union[float, Termination]:
     """Root t of the surface crossing; ESCAPED when the ray never returns,
     APEX or NO_BRACKET when the search finds no sign change to bisect.
+    ``p_norm`` is |p| as np.linalg.norm gives it, when the caller has it.
 
     A bracket widened one-sidedly from the predicted root (4 ulps, x4 a
     round) until the compensated gap changes sign is bisected to adjacent
@@ -455,7 +492,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     bracket reaching t_min or BRACKET_LIMIT * scale, a ray whose closest
     approach to the origin lies ahead and near the apex ends APEX, any
     other NO_BRACKET."""
-    scale = max(math.sqrt(p.dot(p)), 1e-12)  # np.linalg.norm's bits
+    scale = max(math.sqrt(p.dot(p)) if p_norm is None else p_norm, 1e-12)
     t_min = T_MIN_FACTOR * scale
     pl, tl, vl = p.tolist(), p_tail.tolist(), v.tolist()
     if _escapes(cone, vl):
@@ -470,9 +507,10 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
             if end <= t_min:
                 break
             g_end = gap(end)
-            if (g_end < 0.0) != (g < 0.0):
-                (lo, g_lo), (hi, g_hi) = sorted([(t, g), (end, g_end)])
-                return _bisect(gap, lo, g_lo, hi, g_hi)
+            if (g_end < 0.0) != (g < 0.0):  # the bracket's smaller end comes first
+                if side > 0.0:
+                    return _bisect(gap, t, g, end, g_end)
+                return _bisect(gap, end, g_end, t, g)
             t, g = end, g_end
             width *= 4.0
     t = -sum(map(mul, pl, vl))  # the closest approach to the apex
@@ -494,12 +532,13 @@ def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     """
     if p.size != 3:
         raise DomainError("general-cone stepping is implemented in R^3")
-    t_hit = _intersect_ray(cone, p, p_tail, v)
+    p_norm = math.sqrt(p.dot(p))  # np.linalg.norm's bits
+    t_hit = _intersect_ray(cone, p, p_tail, v, p_norm)
     if isinstance(t_hit, Termination):
         return t_hit
-    hl, tl = zip(*map(_dd_ray_coord, p.tolist(), p_tail.tolist(), (t_hit,) * 3, v.tolist()))
+    hl, tl = _ray_point(p.tolist(), p_tail.tolist(), t_hit, v.tolist())
     hit = np.array(hl)
-    if near_apex(math.sqrt(hit.dot(hit)), math.sqrt(p.dot(p))):  # np.linalg.norm's bits
+    if near_apex(math.sqrt(hit.dot(hit)), p_norm):
         return Termination.APEX
     try:
         out = reflect_direction(v, cone.normal_at(hl))

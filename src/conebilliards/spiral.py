@@ -183,25 +183,6 @@ class SpiralParams:
             raise DomainError("parameter a must lie in (-pi/2, pi/2]")
 
 
-@dataclass(frozen=True)
-class NormalFrame:
-    """Prescribed inward normal data at q_k = (cos xi_k, sin xi_k, 1).
-
-    sigma is the counterclockwise angle from the circle's inward normal
-    z_k = -(cos xi_k, sin xi_k) to w_k; tangent = w rotated clockwise by
-    pi/2 satisfies the equal-projection reflection condition.
-    """
-
-    k: int
-    q: np.ndarray          # planar (x1, x2) of the section point
-    w: np.ndarray          # planar unit normal
-    sigma: float
-
-    @property
-    def tangent(self) -> np.ndarray:
-        return np.array([self.w[1], -self.w[0]])
-
-
 def sigma(k):
     """Tilt sigma_k of the required normal w_k away from the circle normal.
 
@@ -226,16 +207,6 @@ def sigma(k):
     g = np.sin((thk + thkm) / 2.0)
     out = np.arctan2(f, g)
     return float(out) if np.isscalar(k) or np.ndim(k) == 0 else out
-
-
-def normal_w(k: int) -> NormalFrame:
-    """Frame (q_k, w_k, sigma_k) in the section plane."""
-    s = float(sigma(k))
-    x = float(xi(k))
-    z = np.array([-math.cos(x), -math.sin(x)])
-    zt = np.array([math.sin(x), -math.cos(x)])
-    w = math.cos(s) * z + math.sin(s) * zt
-    return NormalFrame(k=int(k), q=np.array([math.cos(x), math.sin(x)]), w=w, sigma=s)
 
 
 class SpiralTrajectory:

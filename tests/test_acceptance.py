@@ -15,14 +15,14 @@ from conebilliards.errors import Termination
 from conebilliards.geometry import (
     OrientedLine,
     angular_momenta,
-    line_distance_sq,
-    projected_distance_sq,
     simulate_wedge,
     unit,
     wedge_reflection_count,
 )
 from conebilliards.ndim import LiftedSection, embedded_reflection_check, negdef_check
 from conebilliards.spiral import SpiralParams, SpiralTrajectory
+
+from oracles import line_distance_sq, projected_distance_sq
 
 
 def _report(num, text):

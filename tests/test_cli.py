@@ -12,8 +12,10 @@ from conebilliards import cli, elliptic
 from conebilliards.cli import main
 from conebilliards.elliptic import EllipticCone, TrajectoryLog
 from conebilliards.errors import Termination
-from conebilliards.geometry import OrientedLine, angle_between, line_distance_sq
+from conebilliards.geometry import OrientedLine, angle_between
 from conebilliards.spiral import SQRT2, SpiralTrajectory, theta, theta_tail
+
+from oracles import line_distance_sq
 
 
 def test_version(capsys):
@@ -347,6 +349,17 @@ def test_curve_build_k1_min_beyond_near_windows(tmp_path):
 def test_replay_range_up_to_kmax(tmp_path):
     # --steps 35 runs past kmax and is refused in test_rejects_bad_sizes
     assert main(["replay", "--kmax", "100", "--steps", "34",
+                 "--report", str(tmp_path / "rep.json")]) == 0
+
+
+def test_replay_range_up_to_the_trajectory_table(tmp_path, capsys):
+    # at kmax >= 1000 the vertex table (k <= kmax) ends the range before the
+    # sigma table (k <= kmax + 1): from k1 + 1 = 67, 999 steps reach vertex 1066
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--kmax", "1066", "--steps", "1000"])
+    assert exc.value.code == 2
+    assert "error: replay compares vertices 68..1067, past k = 1066" in capsys.readouterr().err
+    assert main(["replay", "--kmax", "1066", "--steps", "999",
                  "--report", str(tmp_path / "rep.json")]) == 0
 
 

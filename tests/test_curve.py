@@ -27,9 +27,10 @@ from conebilliards.curve import (
     sign_change_census,
 )
 from conebilliards.geometry import GeneralCone, _make_gap, cone_step_precise, project_to_surface
-from conebilliards.spiral import SpiralParams, SpiralTrajectory, normal_w
+from conebilliards.spiral import SpiralParams, SpiralTrajectory
 
 import curve_array_reference as reference
+from oracles import normal_w
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +629,15 @@ def test_replay_rejects_range_past_kmax():
     assert replay(curve, SpiralParams(a=0.0), steps=34).start_k == 67
     with pytest.raises(DomainError):
         replay(curve, SpiralParams(a=0.0), steps=35)
+
+
+def test_replay_range_up_to_the_trajectory_table(built_curve):
+    # kmax = 130 000: the vertex table ends the range at k = kmax
+    params = SpiralParams(a=0.7)
+    with pytest.raises(DomainError, match=r"vertices 128001\.\.130001, past k = 130000"):
+        replay(built_curve, params, steps=2001, start_k=128_000, strict=False)
+    rep = replay(built_curve, params, steps=2000, start_k=128_000, strict=False)
+    assert (rep.steps, rep.termination) == (2000, None)
 
 
 def test_build_rejects_bad_sigma_domain():

@@ -8,14 +8,11 @@ from conebilliards import elliptic, geometry
 from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     OrientedLine,
-    alpha_theta_residuals,
     angular_momenta,
-    line_distance_sq,
     unit,
 )
 from conebilliards.elliptic import (
     EllipticCone,
-    angle_to_integral_residual,
     caustic_tangency_residual,
     chord_angle_sin_sq,
     h_identity_residual,
@@ -29,6 +26,8 @@ from conebilliards.elliptic import (
     run_random,
     sample_start,
 )
+
+from oracles import alpha_theta_residuals, angle_to_integral_residual, line_distance_sq
 
 
 @pytest.fixture(scope="module")

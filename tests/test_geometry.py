@@ -14,13 +14,10 @@ from conebilliards.geometry import (
     T_MIN_FACTOR,
     GeneralCone,
     OrientedLine,
-    alpha_theta_residuals,
     angle_between,
     angular_momenta,
     cone_step_precise,
-    line_distance_sq,
     momentum_pairs,
-    projected_distance_sq,
     reflect_direction,
     simulate_wedge,
     unit,
@@ -29,6 +26,7 @@ from conebilliards.geometry import (
 from conebilliards.spiral import SpiralTrajectory
 
 import scan_root_reference
+from oracles import alpha_theta_residuals, line_distance_sq, projected_distance_sq
 
 SQRT2 = math.sqrt(2.0)
 

@@ -9,7 +9,6 @@ from conebilliards.errors import DomainError
 from conebilliards.geometry import (
     OrientedLine,
     angle_between,
-    line_distance_sq,
     reflect_direction,
     unit,
 )
@@ -22,12 +21,13 @@ from conebilliards.spiral import (
     _block_tails,
     delta,
     k0,
-    normal_w,
     sigma,
     theta,
     theta_tail,
     xi,
 )
+
+from oracles import line_distance_sq, normal_w
 
 
 # ---------------------------------------------------------------------------
