@@ -62,7 +62,7 @@ MAX_COUNT = 100_000      # elliptic simulate --count: one row per trajectory
 MAX_KMAX = 1_000_000     # every --kmax: tail and sigma tables of kmax + 2 entries
 MAX_GRID = 100_000       # curve and ndim --grid
 MAX_N = 6                # ndim check --n: the Hessian grid has dimension n - 2
-MAX_STEPS = 10_000       # replay and ndim check --steps
+MAX_STEPS = curve_mod.MAX_STEPS  # replay and ndim check --steps
 
 
 def _bounded(kind: type, lo, hi):
@@ -117,9 +117,9 @@ def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
     """The CSV rows of trajectories first, first + 1, ... from their
     run_random logs, which start on the surface.
 
-    One pass over the stacked rows gives what TrajectoryLog.integrals,
-    thetas and integral_drift give log by log, bit for bit: the integrals
-    and apex angles are elementwise, max and min are exact in any order,
+    One pass over the stacked rows gives what the integrals, apex angles
+    and drift of each log give alone, bit for bit: the integrals and apex
+    angles are elementwise, max and min are exact in any order,
     and each theta sum is numpy's pairwise .sum() of its own slice
     (np.add.reduceat sums sequentially and rounds differently).
     """

@@ -227,16 +227,6 @@ class PolarCurve:
         out = np.abs(rr + 2.0 * r1 * r1 - r * r2) / np.power(rr + r1 * r1, 1.5)
         return float(out) if out.ndim == 0 else out
 
-    # -- structure accessors ----------------------------------------------------
-    def inward_normal(self, xi_val) -> np.ndarray:
-        """Unit inward normal of the curve (rotate the tangent by +pi/2)."""
-        r, r1, _ = self.polar(xi_val)
-        x = float(xi_val)
-        tx = r1 * math.cos(x) - r * math.sin(x)
-        ty = r1 * math.sin(x) + r * math.cos(x)
-        n = np.array([-ty, tx])
-        return n / np.linalg.norm(n)
-
     def window_samples(self, k, count: int) -> np.ndarray:
         """``count`` equispaced points of the window [xi_{k+1}, xi_k]; for an
         int array k, one row per window, each equal to its one-window call."""
@@ -312,7 +302,8 @@ class C2Report:
     expected: tuple = (-4.0, -2.5, -1.0)
 
     def max_slope_error(self) -> float:
-        return max(abs(s - e) for s, e in zip(self.slopes, self.expected))
+        """The largest |slope - expected|; NaN when any slope is NaN."""
+        return float(np.max(np.abs(np.subtract(self.slopes, self.expected))))
 
 
 C2_K_LO = 100         # the decay fit runs over 60 geometric windows
@@ -324,18 +315,20 @@ def c2_check_at_zero(curve: PolarCurve, strict: bool = True) -> C2Report:
     """Fit the decay exponents of the window sups of |rho-1|, |rho'|, |rho''|.
 
     The expected envelopes are k^-4, k^-5/2 and k^-1; failing the
-    +-C2_SLOPE_TOL band raises C2CheckFailure.
+    +-C2_SLOPE_TOL band, a NaN slope included, raises C2CheckFailure.
     """
     k_lo = C2_K_LO
     k_hi = min(curve.kmax - 2, C2_K_HI)
     if k_lo <= curve.k1:
         raise DomainError(f"the decay fit starts at k = {k_lo}, which must exceed k1 = {curve.k1}")
+    if k_hi <= k_lo:  # windows past the horizon read 0, whose log has no slope
+        raise DomainError(f"the decay fit needs kmax - 2 > {k_lo}, got kmax = {curve.kmax}")
     ks = np.unique(np.geomspace(k_lo, k_hi, 60).astype(int))
     sup0, sup1, sup2 = (np.abs(d).max(axis=1) for d in curve.deviation(curve.window_samples(ks, 130)))
     lk = np.log(ks.astype(float))
     slopes = tuple(float(np.polyfit(lk, np.log(s), 1)[0]) for s in (sup0, sup1, sup2))
     report = C2Report(k_values=ks, sup_dev=sup0, sup_d1=sup1, sup_d2=sup2, slopes=slopes)
-    if strict and report.max_slope_error() > C2_SLOPE_TOL:
+    if strict and not report.max_slope_error() <= C2_SLOPE_TOL:
         raise C2CheckFailure(
             f"decay slopes {slopes} deviate more than {C2_SLOPE_TOL} from {report.expected}")
     return report
@@ -377,6 +370,7 @@ class ReplayReport:
 
 
 VERTEX_TOL = 1e-7
+MAX_STEPS = 10_000        # replay steps per call
 
 
 def replay(
@@ -389,13 +383,13 @@ def replay(
     """Run the generic cone stepper on the built cone from the closed-form
     vertex projected onto it and compare every hit against the closed-form
     vertices; a relative vertex error above VERTEX_TOL counts as divergence."""
-    if steps < 1 or steps > 10_000:
-        raise DomainError("steps must lie in [1, 10000]")
-    traj = SpiralTrajectory(params.a, kmax=max(curve.kmax, 1000))
+    if steps < 1 or steps > MAX_STEPS:
+        raise DomainError(f"steps must lie in [1, {MAX_STEPS}]")
+    last = curve.kmax + 1  # the sigma table fixes q_k up to kmax + 1
+    traj = SpiralTrajectory(params.a, kmax=last)
     k_start = start_k if start_k is not None else max(curve.k1 + 1, traj.k0)
     if k_start <= curve.k1:
         raise DomainError("replay must start above the flat-start index k1")
-    last = min(curve.kmax + 1, traj.kmax)  # sigma fixes q_k to kmax + 1, the vertex table to its kmax
     if k_start + steps > last:
         raise DomainError(f"replay compares vertices {k_start + 1}..{k_start + steps}, past k = {last}")
     cone = GeneralCone(curve)

@@ -21,27 +21,20 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, GrazingError, TangencyWarning, Termination
-from .geometry import (
-    OrientedLine,
-    _normalized,
-    angle_between,
-    near_apex,
-    reflect_direction,
-    unit,
-)
+from .geometry import OrientedLine, _normalized, momenta, near_apex, reflect_direction
 
 T_MIN_FACTOR = 1e-12      # excludes re-hitting the current vertex
 LINEAR_A_TOL = 1e-14      # |A| below this solves the ray linearly
 DISC_CLAMP = 1e-14        # negative discriminant within this clamps to zero
 ARC_CLAMP = 1e-12         # arcsin arguments within this of 1 are clamped
-PB_STEP = 1e-5            # central-difference step of poisson_bracket_residual
 BOUND_MARGIN = 8          # run_random caps a c2 > 0 run this far above its bound
 FALLBACK_STEPS = 4000     # and any other run at this many reflections
 
 
 @dataclass(frozen=True)
 class EllipticCone:
-    """Semi-axes a > b > 0 of the section ellipse at height x3 = 1."""
+    """Semi-axes a > b > 0 of the section ellipse at height x3 = 1; the
+    quadric Q(x) = (x1/a)^2 + (x2/b)^2 - x3^2 is negative strictly inside."""
 
     a: float
     b: float
@@ -52,11 +45,6 @@ class EllipticCone:
                 and self.b * self.b > 16.0 / sys.float_info.max):
             raise DomainError(f"need a > b > 0 with a^2 and 16/b^2 finite, "
                               f"got a={self.a}, b={self.b}")
-
-    def quadric(self, x) -> float:
-        """Q(x) = (x1/a)^2 + (x2/b)^2 - x3^2; negative strictly inside."""
-        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
-        return (x0 / self.a) ** 2 + (x1 / self.b) ** 2 - x2 ** 2
 
     def gradient(self, x) -> list:
         """grad Q at a point given as a 3-sequence, as Python floats."""
@@ -69,30 +57,18 @@ class EllipticCone:
     def inward_normal(self, x) -> list:
         return _normalized(np.array([-g for g in self.gradient(x)]))
 
-    def section_angle(self, x) -> float:
-        """Elliptic parameter angle of a surface point: x = t(a cos, b sin, 1)."""
-        x = np.asarray(x, dtype=float)
-        return math.atan2(x[1] / (self.b * x[2]), x[0] / (self.a * x[2]))
-
 
 def first_integrals(cone: EllipticCone, x, v) -> tuple:
-    """(I1, I2) of the line through x with direction v.
-
-    x and v are one line's (3,) arrays, giving floats, or stacks of lines,
-    (n, 3) arrays; the m_ij are taken along the last axis.  One line runs on
-    Python floats, elementwise the same operations.
-    """
-    if np.ndim(x) == np.ndim(v) == 1:
-        return _integrals(cone, *np.asarray(x, float).tolist(), *np.asarray(v, float).tolist())
+    """(I1, I2) of the line through x with direction v: x and v are one
+    line's (3,) arrays or (n, 3) stacks of lines, the m_ij taken along the
+    last axis."""
     return _integrals(cone, x[..., 0], x[..., 1], x[..., 2], v[..., 0], v[..., 1], v[..., 2])
 
 
 def _integrals(cone: EllipticCone, x0, x1, x2, v0, v1, v2) -> tuple:
     """(I1, I2) from the coordinates of a base and a direction: Python
     floats for one line, arrays for a stack."""
-    m12 = x0 * v1 - x1 * v0
-    m13 = x0 * v2 - x2 * v0
-    m23 = x1 * v2 - x2 * v1
+    m12, m13, m23 = momenta(x0, x1, x2, v0, v1, v2)
     return (m12 * m12 + m13 * m13 + m23 * m23,
             cone.a**2 * (m23 * m23) + cone.b**2 * (m13 * m13) - m12 * m12)
 
@@ -107,60 +83,6 @@ class IntegralPair:
 
 def integral_pair(cone: EllipticCone, line: OrientedLine) -> IntegralPair:
     return IntegralPair(*_integrals(cone, *line.base.tolist(), *line.dir.tolist()))
-
-
-def h_identity_residual(cone: EllipticCone, u, v) -> float:
-    """Residual of I2 = h11 s1^2 + h22 s2^2 + h12 s1 s2 + h0 at x = r(u).
-
-    r(u) = (a u1, b u2, |u|), s_j = <v, dr/du_j>; the identity holds for
-    every unit v, which is what makes I2 a reflection invariant.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[-1] != 2 or v.shape[-1] != 3:
-        raise DomainError("u must be 2-d parameters, v a 3-d direction")
-    a, b = cone.a, cone.b
-    u1, u2 = u[..., 0], u[..., 1]
-    nrm = np.hypot(u1, u2)
-    if np.any(nrm < 1e-300):
-        raise DomainError("(u1, u2) must be nonzero")
-    x = np.stack([a * u1, b * u2, nrm], axis=-1)
-    lhs = first_integrals(cone, x, v)[1]
-    s1 = a * v[..., 0] + u1 * v[..., 2] / nrm
-    s2 = b * v[..., 1] + u2 * v[..., 2] / nrm
-    h11 = -(b**2) * u1**2 - (1.0 + b**2) * u2**2
-    h22 = -(a**2 + 1.0) * u1**2 - a**2 * u2**2
-    h12 = 2.0 * u1 * u2
-    h0 = b**2 * (a**2 + 1.0) * u1**2 + a**2 * (b**2 + 1.0) * u2**2
-    res = lhs - (h11 * s1**2 + h22 * s2**2 + h12 * s1 * s2 + h0)
-    return float(res) if res.ndim == 0 else res
-
-
-def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
-    """{I1, I2} by central differences with one Richardson pass; exactly zero
-    for the true bracket, so the return is pure numerical noise."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-
-    def grad(k: int, wrt_x: bool) -> np.ndarray:
-        """d(I1, I2) / dx_k (or dv_k)."""
-        def central(h: float) -> np.ndarray:
-            e = np.zeros(3)
-            e[k] = h
-            if wrt_x:
-                hi, lo = first_integrals(cone, x + e, v), first_integrals(cone, x - e, v)
-            else:
-                hi, lo = first_integrals(cone, x, v + e), first_integrals(cone, x, v - e)
-            return (np.array(hi) - np.array(lo)) / (2.0 * h)
-
-        return (4.0 * central(PB_STEP / 2.0) - central(PB_STEP)) / 3.0
-
-    total = 0.0
-    for k in range(3):
-        dI_dx = grad(k, True)
-        dI_dv = grad(k, False)
-        total += dI_dx[0] * dI_dv[1] - dI_dv[0] * dI_dx[1]
-    return float(total)
 
 
 def next_intersection(cone: EllipticCone, p, v) -> Union[list, Termination]:
@@ -178,7 +100,7 @@ def next_intersection(cone: EllipticCone, p, v) -> Union[list, Termination]:
     a2, b2 = cone.a**2, cone.b**2
     A = v0 ** 2 / a2 + v1 ** 2 / b2 - v2 ** 2
     B = 2.0 * (p0 * v0 / a2 + p1 * v1 / b2 - p2 * v2)
-    C = (p0 / cone.a) ** 2 + (p1 / cone.b) ** 2 - p2 ** 2  # cone.quadric(p)
+    C = (p0 / cone.a) ** 2 + (p1 / cone.b) ** 2 - p2 ** 2  # Q(p)
     p_norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
     t_min = T_MIN_FACTOR * p_norm
     if abs(A) < LINEAR_A_TOL:
@@ -211,8 +133,7 @@ class TrajectoryLog:
     """Everything a run produced and how it ended.
 
     Row i of ``bases``/``dirs`` is the i-th line of the trajectory: the
-    launch line first, then each vertex with its outgoing direction.  The
-    vertices, integrals, apex angles and drift are derived from them.
+    launch line first, then each vertex with its outgoing direction.
     """
 
     cone: EllipticCone
@@ -230,26 +151,6 @@ class TrajectoryLog:
         """Number of reflections including the starting vertex when the
         trajectory was launched from the surface."""
         return len(self.vertices) + (1 if self.started_on_surface else 0)
-
-    def integrals(self) -> IntegralPair:
-        """(I1, I2) of every line, as arrays."""
-        return IntegralPair(*first_integrals(self.cone, self.bases, self.dirs))
-
-    def thetas(self) -> np.ndarray:
-        """Apex angles between consecutive vertices, counting the launch
-        base as one when the trajectory started on the surface."""
-        radial = unit(self.bases if self.started_on_surface else self.vertices)
-        return angle_between(radial[:-1], radial[1:])
-
-    def integral_drift(self) -> tuple:
-        """Relative peak-to-peak drift of (I1, I2); I2 is normalized by
-        max(|I2|, I1) since it may legitimately sit at zero."""
-        pair = self.integrals()
-        i1_max = np.abs(pair.I1).max()
-        d1 = float(np.ptp(pair.I1) / i1_max)
-        d2 = float(np.ptp(pair.I2) / max(np.abs(pair.I2).max(), i1_max))
-        return d1, d2
-
 
 def run(
     cone: EllipticCone,
@@ -281,7 +182,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# the reflection-count bound and its supporting estimates
+# the reflection-count bound
 # ---------------------------------------------------------------------------
 
 def _arcsin_argument(cone: EllipticCone, c1: float, c2: float) -> float:
@@ -310,45 +211,6 @@ def min_vertex_angle(cone: EllipticCone, c1: float, c2: float) -> float:
 def reflection_bound(cone: EllipticCone, c1: float, c2: float) -> int:
     """N = ceil(pi / arcsin q): the reflection-count ceiling."""
     return math.ceil(math.pi / min_vertex_angle(cone, c1, c2))
-
-
-def chord_angle_sin_sq(cone: EllipticCone, I1: float, I2: float, m12: float) -> float:
-    """Exact sin^2 of the apex angle of a chord in terms of (I1, I2, m12)."""
-    a2, b2 = cone.a**2, cone.b**2
-    core = 4.0 * a2 * b2 * I1 * I2
-    shift = (1.0 + a2) * (1.0 + b2) * m12**2 - (a2 * b2 * I1 - I2)
-    return core / (core + shift**2)
-
-
-def m12_sq_max(cone: EllipticCone, I1: float, I2: float) -> float:
-    """Upper bound (a^2 I1 - I2)/(a^2 + 1) on m12^2 at fixed integrals."""
-    return (cone.a**2 * I1 - I2) / (cone.a**2 + 1.0)
-
-
-def caustic_tangency_residual(
-    cone: EllipticCone, line: OrientedLine, c1: float, c2: float
-) -> float:
-    """Scaled discriminant of the line against the caustic cone K_lambda,
-    lambda = -c2/c1; zero at tangency.
-
-    The raw discriminant is normalized by the magnitude of its two terms so
-    the residual is scale-free.
-    """
-    if c1 <= 0.0:
-        raise DomainError("c1 must be positive")
-    lam = -c2 / c1
-    da = cone.a**2 + lam
-    db = cone.b**2 + lam
-    dz = 1.0 - lam
-    if da <= 0.0 or db <= 0.0 or dz <= 0.0:
-        raise DomainError(f"degenerate caustic: lambda={lam} gives a nonpositive denominator")
-    p, v = line.base, line.dir
-    A = v[0] ** 2 / da + v[1] ** 2 / db - v[2] ** 2 / dz
-    B = 2.0 * (p[0] * v[0] / da + p[1] * v[1] / db - p[2] * v[2] / dz)
-    C = p[0] ** 2 / da + p[1] ** 2 / db - p[2] ** 2 / dz
-    disc = B * B - 4.0 * A * C
-    scale = max(B * B, abs(4.0 * A * C), 1e-300)
-    return disc / scale
 
 
 # ---------------------------------------------------------------------------

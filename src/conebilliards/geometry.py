@@ -27,7 +27,6 @@ BRACKET_LIMIT = 1e-2      # widest bracket around a predicted root, over |p|
 PREDICT_ROUNDS = 3        # frozen-rho quadric solves that predict a general-cone hit
 PROJECT_ROUNDS = 4        # Newton steps of project_to_surface
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
-WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
 
 
 def near_apex(hit_norm: float, base_norm: float) -> bool:
@@ -108,23 +107,20 @@ class OrientedLine:
         object.__setattr__(self, "dir", d)
 
 
-def momentum_pairs(n: int) -> list:
-    """Index pairs (i, j), i < j, in lexicographic order (0-based)."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def momenta(x0, x1, x2, v0, v1, v2) -> tuple:
+    """(m12, m13, m23), m_ij = x^i v^j - x^j v^i, of the line through x
+    along v, from their coordinates: Python floats for one line, arrays for
+    a stack.  Independent of where the base point sits on the line."""
+    return x0 * v1 - x1 * v0, x0 * v2 - x2 * v0, x1 * v2 - x2 * v1
 
 
 def angular_momenta(x, v) -> np.ndarray:
-    """All m_ij = x^i v^j - x^j v^i, i < j, lexicographic, of the line
-    through x along v; (..., n) stacks of them give (..., n(n-1)/2).
-
-    Independent of where the base point sits on the line.
-    """
+    """(m12, m13, m23) of the line through x along v as an array; (..., 3)
+    stacks of them give (..., 3)."""
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    n = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (n * (n - 1) // 2,))
-    for k, (i, j) in enumerate(momentum_pairs(n)):
-        out[..., k] = x[..., i] * v[..., j] - x[..., j] * v[..., i]
-    return out
+    if x.shape[-1:] != (3,) or v.shape[-1:] != (3,):
+        raise DomainError(f"momenta are implemented in R^3, got shapes {x.shape} and {v.shape}")
+    return np.stack(momenta(*np.moveaxis(x, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
 
 
 def reflect_direction(v, normal) -> np.ndarray:
@@ -152,65 +148,13 @@ def reflect_direction(v, normal) -> np.ndarray:
 
 
 def angle_between(u, w):
-    """Angle in [0, pi] between two unit vectors, accurate near 0 and pi;
-    for (n, d) stacks, the array of the n row-by-row angles."""
-    u = _vec(u)
-    w = _vec(w)
-    if u.shape[-1] == 3:
-        c = np.cross(u, w)
-        return _atan2(np.sqrt(_dots(c, c)), _dots(u, w))
-    # general n: half-angle form, stable at both ends
-    d, s = u - w, u + w
-    return 2.0 * _atan2(np.sqrt(_dots(d, d)), np.sqrt(_dots(s, s)))
-
-
-def wedge_reflection_count(theta: float) -> int:
-    """ceil(pi/theta): the classical bound for a planar wedge of angle theta."""
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"wedge angle must lie in (0, pi), got {theta}")
-    return math.ceil(math.pi / theta)
-
-
-def simulate_wedge(theta: float, base, direction) -> int:
-    """Count reflections of a full billiard trajectory in the planar wedge
-    {polar angle in [0, theta]}.
-
-    The backward ray from (base, direction) must escape without hitting a
-    wall, so the count covers the whole trajectory.
-    """
-    if not (0.0 < theta < math.pi):
-        raise DomainError("wedge angle must lie in (0, pi)")
-    p = _vec(base)
-    v = unit(direction)
-    if p.shape != (2,):
-        raise DomainError("wedge simulation is planar")
-    walls = [
-        (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        (np.array([math.cos(theta), math.sin(theta)]),
-         np.array([-math.sin(theta), math.cos(theta)])),
-    ]
-    back = -v
-    ang = math.atan2(back[1], back[0]) % (2.0 * math.pi)
-    if not (1e-9 < ang < theta - 1e-9):
-        raise DomainError("backward ray must escape through the open wedge")
-    count = 0
-    for _ in range(WEDGE_MAX_STEPS):
-        best = None
-        for wdir, wnorm in walls:
-            vn = float(np.dot(v, wnorm))
-            if abs(vn) < 1e-15:
-                continue
-            t = -float(np.dot(p, wnorm)) / vn
-            if t > 1e-12 * (1.0 + np.linalg.norm(p)) and float(np.dot(p + t * v, wdir)) > 0.0:
-                if best is None or t < best[0]:
-                    best = (t, wnorm)
-        if best is None:
-            return count
-        t, wnorm = best
-        p = p + t * v
-        v = v - 2.0 * float(np.dot(v, wnorm)) * wnorm
-        count += 1
-    raise RuntimeError("wedge simulation did not terminate")
+    """Angle in [0, pi] between two unit vectors in R^3, accurate near 0 and
+    pi; for (n, 3) stacks, the array of the n row-by-row angles."""
+    u, w = _vec(u), _vec(w)
+    if u.shape[-1] != 3 or w.shape[-1] != 3:
+        raise DomainError(f"angles are implemented in R^3, got shapes {u.shape} and {w.shape}")
+    c = np.cross(u, w)
+    return _atan2(np.sqrt(_dots(c, c)), _dots(u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +383,8 @@ def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
     A0, (B0, C0, z2h) = v0 * v0 + v1 * v1 - v2 * v2, _predictor_head(p, p_tail, v)
     # B^2 - 4AC in the form with the smaller terms: the plain one for a chord
     # from the surface (B, C ~ 0), or by Lagrange's identity in the line's
-    # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC
+    # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC;
+    # momenta's products written out, as this is the replay's hot loop
     m01, m02, m12 = p0 * v1 - p1 * v0, p0 * v2 - p2 * v0, p1 * v2 - p2 * v1
     m_sq = m02 * m02 + m12 * m12
     lagrange = B0 * B0 + abs(A0 * C0) > m_sq + m01 * m01
@@ -479,10 +424,10 @@ def _bisect(gap, lo: float, g_lo: float, hi: float, g_hi: float) -> float:
 
 
 def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
-                   v: np.ndarray, p_norm: Optional[float] = None) -> Union[float, Termination]:
+                   v: np.ndarray, p_norm: float) -> Union[float, Termination]:
     """Root t of the surface crossing; ESCAPED when the ray never returns,
     APEX or NO_BRACKET when the search finds no sign change to bisect.
-    ``p_norm`` is |p| as np.linalg.norm gives it, when the caller has it.
+    ``p_norm`` is |p| as np.linalg.norm gives it.
 
     A bracket widened one-sidedly from the predicted root (4 ulps, x4 a
     round) until the compensated gap changes sign is bisected to adjacent
@@ -492,7 +437,7 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     bracket reaching t_min or BRACKET_LIMIT * scale, a ray whose closest
     approach to the origin lies ahead and near the apex ends APEX, any
     other NO_BRACKET."""
-    scale = max(math.sqrt(p.dot(p)) if p_norm is None else p_norm, 1e-12)
+    scale = max(p_norm, 1e-12)
     t_min = T_MIN_FACTOR * scale
     pl, tl, vl = p.tolist(), p_tail.tolist(), v.tolist()
     if _escapes(cone, vl):

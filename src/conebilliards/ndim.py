@@ -103,8 +103,10 @@ class LiftedSection:
 
     # -- the lifted graph ---------------------------------------------------------
     def _lift(self, Y):
-        """(Y, (f1, f1', f1'') at x2, F1) for a batch of points, shape (N, n-2),
-        refusing points off the open unit disk or outside the lifted section."""
+        """(Y, (f1, f1', f1'') at x2, F1) for a batch of points
+        y = (x2, x3, ..., x^{n-1}), shape (N, n-2), with
+        F1 = sqrt(f1(x2)^2 - sum_{i>=3} (x^i)^2), refusing points off the
+        open unit disk or outside the lifted section."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.n - 2:
             raise DomainError(f"expected shape (N, {self.n - 2})")
@@ -116,20 +118,9 @@ class LiftedSection:
             raise DomainError("negative radicand: point outside the lifted section")
         return Y, (f, fp, fpp), np.sqrt(rad)
 
-    def F1(self, y) -> float:
-        """sqrt(f1(x2)^2 - sum_{i>=3} (x^i)^2)."""
-        return float(self.F1_batch(np.asarray(y, dtype=float)[None])[0])
-
-    def F1_batch(self, Y: np.ndarray) -> np.ndarray:
-        """F1 for a batch of points, shape (N, n-2)."""
-        return self._lift(Y)[2]
-
-    def hessian(self, y) -> np.ndarray:
-        """Closed-form Hessian of F1 at y = (x2, x3, ..., x^{n-1})."""
-        return self.hessian_batch(np.asarray(y, dtype=float)[None, :])[0]
-
     def hessian_batch(self, Y: np.ndarray) -> np.ndarray:
-        """Hessians for a batch of points, shape (N, n-2) -> (N, n-2, n-2)."""
+        """Closed-form Hessians of F1 for a batch of points, shape (N, n-2)
+        -> (N, n-2, n-2)."""
         Y, (f, fp, fpp), F = self._lift(Y)
         rest = Y[:, 1:]
         F3 = F**3

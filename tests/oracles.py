@@ -1,8 +1,11 @@
 """Independent routes to quantities the package computes another way: the
 distance of a line to the apex in two forms, the alpha recurrence of a
 reflection sequence, the angle-to-integral identity of an elliptic-cone
-chord, and the prescribed normal frame of the witness section at q_k.
-Only the tests call them.
+chord, the elliptic quadric and parameter angle of a point, the
+prescribed normal frame of the witness section at q_k and the built
+curve's normal, and the log-by-log integrals, apex angles and drift of an
+elliptic trajectory, the oracle of the one-pass accounting of
+``billiards elliptic simulate``.  Only the tests call them.
 """
 
 import math
@@ -10,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conebilliards.elliptic import EllipticCone, integral_pair
+from conebilliards.curve import PolarCurve
+from conebilliards.elliptic import (EllipticCone, IntegralPair, TrajectoryLog, first_integrals,
+                                    integral_pair)
 from conebilliards.errors import DomainError
 from conebilliards.geometry import OrientedLine, _dots, angle_between, angular_momenta, unit
+from conebilliards.ndim import LiftedSection
 from conebilliards.spiral import sigma, xi
 
 
@@ -62,8 +68,8 @@ def angle_to_integral_residual(cone: EllipticCone, line: OrientedLine, hit: np.n
     """cos(xi2 - xi1) - (2 m12^2/(m12^2 + I2) - 1) for the chord base->hit."""
     m12 = angular_momenta(line.base, line.dir)[0]
     I2 = integral_pair(cone, line).I2
-    xi1 = cone.section_angle(line.base)
-    xi2 = cone.section_angle(hit)
+    xi1 = section_angle(cone, line.base)
+    xi2 = section_angle(cone, hit)
     return math.cos(xi2 - xi1) - (2.0 * m12**2 / (m12**2 + I2) - 1.0)
 
 
@@ -94,3 +100,52 @@ def normal_w(k: int) -> NormalFrame:
     zt = np.array([math.sin(x), -math.cos(x)])
     w = math.cos(s) * z + math.sin(s) * zt
     return NormalFrame(k=int(k), q=np.array([math.cos(x), math.sin(x)]), w=w, sigma=s)
+
+
+def quadric(cone: EllipticCone, x) -> float:
+    """Q(x) = (x1/a)^2 + (x2/b)^2 - x3^2; negative strictly inside."""
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    return (x0 / cone.a) ** 2 + (x1 / cone.b) ** 2 - x2 ** 2
+
+
+def section_angle(cone: EllipticCone, x) -> float:
+    """Elliptic parameter angle of a surface point: x = t(a cos, b sin, 1)."""
+    x = np.asarray(x, dtype=float)
+    return math.atan2(x[1] / (cone.b * x[2]), x[0] / (cone.a * x[2]))
+
+
+def curve_inward_normal(curve: PolarCurve, xi_val) -> np.ndarray:
+    """Unit inward normal of the curve (rotate the tangent by +pi/2)."""
+    r, r1, _ = curve.polar(xi_val)
+    x = float(xi_val)
+    tx = r1 * math.cos(x) - r * math.sin(x)
+    ty = r1 * math.sin(x) + r * math.cos(x)
+    n = np.array([-ty, tx])
+    return n / np.linalg.norm(n)
+
+
+def F1_batch(section: LiftedSection, Y: np.ndarray) -> np.ndarray:
+    """F1 of the lift for a batch of points, shape (N, n-2)."""
+    return section._lift(Y)[2]
+
+
+def log_integrals(log: TrajectoryLog) -> IntegralPair:
+    """(I1, I2) of every line, as arrays."""
+    return IntegralPair(*first_integrals(log.cone, log.bases, log.dirs))
+
+
+def log_thetas(log: TrajectoryLog) -> np.ndarray:
+    """Apex angles between consecutive vertices, counting the launch
+    base as one when the trajectory started on the surface."""
+    radial = unit(log.bases if log.started_on_surface else log.vertices)
+    return angle_between(radial[:-1], radial[1:])
+
+
+def integral_drift(log: TrajectoryLog) -> tuple:
+    """Relative peak-to-peak drift of (I1, I2); I2 is normalized by
+    max(|I2|, I1) since it may legitimately sit at zero."""
+    pair = log_integrals(log)
+    i1_max = np.abs(pair.I1).max()
+    d1 = float(np.ptp(pair.I1) / i1_max)
+    d2 = float(np.ptp(pair.I2) / max(np.abs(pair.I2).max(), i1_max))
+    return d1, d2

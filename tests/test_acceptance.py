@@ -12,17 +12,13 @@ from conebilliards import spiral
 from conebilliards.curve import c2_check_at_zero, replay, sign_change_census
 from conebilliards.elliptic import EllipticCone
 from conebilliards.errors import Termination
-from conebilliards.geometry import (
-    OrientedLine,
-    angular_momenta,
-    simulate_wedge,
-    unit,
-    wedge_reflection_count,
-)
+from conebilliards.geometry import OrientedLine, angular_momenta, unit
 from conebilliards.ndim import LiftedSection, embedded_reflection_check, negdef_check
 from conebilliards.spiral import SpiralParams, SpiralTrajectory
 
-from oracles import line_distance_sq, projected_distance_sq
+from oracles import integral_drift, line_distance_sq, log_thetas, projected_distance_sq
+from paper_checks import (caustic_tangency_residual, h_identity_residual,
+                          poisson_bracket_residual, simulate_wedge, wedge_reflection_count)
 
 
 def _report(num, text):
@@ -80,9 +76,9 @@ def test_criterion_02_elliptic_conservation():
         if len(log.vertices) == 0:
             continue
         n_traj += 1
-        d1, d2 = log.integral_drift()
+        d1, d2 = integral_drift(log)
         worst_drift = max(worst_drift, d1, d2)
-        th = log.thetas()
+        th = log_thetas(log)
         if th.size:
             worst_sum = max(worst_sum, float(th.sum()))
             assert float(th.sum()) < math.pi
@@ -114,7 +110,7 @@ def test_criterion_03_reflection_bound():
                 violations += 1
             if log.termination != Termination.ESCAPED:
                 continue
-            th = log.thetas()
+            th = log_thetas(log)
             if th.size:
                 margin = float(th.min()) - el.min_vertex_angle(cone, pair.I1, pair.I2)
                 min_margin = min(min_margin, margin)
@@ -135,14 +131,14 @@ def test_criterion_04_h_identity_and_poisson():
     u = u[np.hypot(u[:, 0], u[:, 1]) > 1e-3][:10_000]
     v = rng.normal(size=(u.shape[0], 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    h_res = np.abs(el.h_identity_residual(cone, u, v)).max()
+    h_res = np.abs(h_identity_residual(cone, u, v)).max()
     assert h_res < 1e-10
 
     worst_pb = 0.0
     for _ in range(10_000):
         x = rng.uniform(-1.5, 1.5, 3)
         w = rng.uniform(-1.5, 1.5, 3)
-        worst_pb = max(worst_pb, abs(el.poisson_bracket_residual(cone, x, w)))
+        worst_pb = max(worst_pb, abs(poisson_bracket_residual(cone, x, w)))
     assert worst_pb < 1e-6
     _report(4, f"h-identity max {h_res:.2e} (1e4 samples), Poisson FD max {worst_pb:.2e}")
 
@@ -277,7 +273,7 @@ def test_criterion_10_caustic_tangency():
             continue
         n_traj += 1
         for ln in (OrientedLine(b, d) for b, d in zip(log.bases, log.dirs)):
-            worst_disc = max(worst_disc, abs(el.caustic_tangency_residual(
+            worst_disc = max(worst_disc, abs(caustic_tangency_residual(
                 cone, ln, pair.I1, pair.I2)))
             worst_sphere = max(worst_sphere, abs(
                 math.sqrt(line_distance_sq(ln)) - math.sqrt(pair.I1)))

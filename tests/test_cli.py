@@ -15,7 +15,7 @@ from conebilliards.errors import Termination
 from conebilliards.geometry import OrientedLine, angle_between
 from conebilliards.spiral import SQRT2, SpiralTrajectory, theta, theta_tail
 
-from oracles import line_distance_sq
+from oracles import integral_drift, line_distance_sq, log_integrals, log_thetas
 
 
 def test_version(capsys):
@@ -353,13 +353,13 @@ def test_replay_range_up_to_kmax(tmp_path):
 
 
 def test_replay_range_up_to_the_trajectory_table(tmp_path, capsys):
-    # at kmax >= 1000 the vertex table (k <= kmax) ends the range before the
-    # sigma table (k <= kmax + 1): from k1 + 1 = 67, 999 steps reach vertex 1066
+    # the vertex table, like the sigma table, ends the range at k = kmax + 1
+    # for every kmax: from k1 + 1 = 67, 1000 steps reach vertex 1067
     with pytest.raises(SystemExit) as exc:
-        main(["replay", "--kmax", "1066", "--steps", "1000"])
+        main(["replay", "--kmax", "1066", "--steps", "1001"])
     assert exc.value.code == 2
-    assert "error: replay compares vertices 68..1067, past k = 1066" in capsys.readouterr().err
-    assert main(["replay", "--kmax", "1066", "--steps", "999",
+    assert "error: replay compares vertices 68..1068, past k = 1067" in capsys.readouterr().err
+    assert main(["replay", "--kmax", "1066", "--steps", "1000",
                  "--report", str(tmp_path / "rep.json")]) == 0
 
 
@@ -446,7 +446,7 @@ def _bits(row) -> list:
 
 
 def test_block_accounting_equals_the_per_log_methods():
-    # one pass over a block against TrajectoryLog.integrals, thetas,
+    # one pass over a block against the oracles log_integrals, log_thetas,
     # integral_drift and reflection_count, log by log, bit for bit
     cone = EllipticCone(2.0, 1.0)
     logs = []
@@ -458,16 +458,16 @@ def test_block_accounting_equals_the_per_log_methods():
     ends = list(Termination) * 2
     for k, end in zip((1, 2, 9, 10, 101, 128, 129, 130, 200, 257), ends):
         logs.append(TrajectoryLog(cone, long.bases[:k], long.dirs[:k], end, True))
-    assert [len(log.thetas()) for log in logs] == [
+    assert [len(log_thetas(log)) for log in logs] == [
         0, 1, 7, 8, 9, 308, 0, 1, 8, 9, 100, 127, 128, 129, 199, 256]
     rows = cli._simulate_rows(cone, 7, 40, logs)
     assert len(rows) == len(logs)
     for k, (log, row) in enumerate(zip(logs, rows)):
-        pair, th = log.integrals(), log.thetas()
+        pair, th = log_integrals(log), log_thetas(log)
         c1, c2 = float(pair.I1[0]), float(pair.I2[0])
         expect = (40 + k, 7, c1, c2, log.reflection_count,
                   elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1,
-                  float(th.max()) if th.size else 0.0, float(th.sum()), *log.integral_drift())
+                  float(th.max()) if th.size else 0.0, float(th.sum()), *integral_drift(log))
         assert [type(x) for x in row] == [type(x) for x in expect]
         assert _bits(row) == _bits(expect)
 

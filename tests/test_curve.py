@@ -30,7 +30,7 @@ from conebilliards.geometry import GeneralCone, _make_gap, cone_step_precise, pr
 from conebilliards.spiral import SpiralParams, SpiralTrajectory
 
 import curve_array_reference as reference
-from oracles import normal_w
+from oracles import curve_inward_normal, normal_w
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +208,13 @@ def test_curve_pure_arc_plateau(built_curve):
 def test_curve_normals_match_w(built_curve):
     for k in range(built_curve.k1 + 1, built_curve.k1 + 40):
         frame = normal_w(k)
-        n = built_curve.inward_normal(float(spiral.xi(k)))
+        n = curve_inward_normal(built_curve, float(spiral.xi(k)))
         cross = n[0] * frame.w[1] - n[1] * frame.w[0]
         ang = math.atan2(abs(cross), float(np.dot(n, frame.w)))
         assert ang < 1e-9
     for k in (500, 5000, 50_000):
         frame = normal_w(k)
-        n = built_curve.inward_normal(float(spiral.xi(k)))
+        n = curve_inward_normal(built_curve, float(spiral.xi(k)))
         cross = n[0] * frame.w[1] - n[1] * frame.w[0]
         assert math.atan2(abs(cross), float(np.dot(n, frame.w))) < 1e-9
 
@@ -297,6 +297,27 @@ def test_c2_strict_failure_path(built_curve, monkeypatch):
         c2_check_at_zero(built_curve)
     rep = c2_check_at_zero(built_curve, strict=False)
     assert rep.max_slope_error() > 1e-6
+
+
+def test_c2_strict_check_fails_a_nan_slope(built_curve, monkeypatch):
+    # a NaN slope fails the band, as a NaN eigenvalue fails negdef_check
+    real = built_curve.deviation
+    monkeypatch.setattr(built_curve, "deviation",
+                        lambda xi: (*real(xi)[:2], np.full(np.shape(xi), np.nan)))
+    rep = c2_check_at_zero(built_curve, strict=False)
+    assert math.isnan(rep.slopes[2]) and math.isnan(rep.max_slope_error())
+    with pytest.raises(C2CheckFailure):
+        c2_check_at_zero(built_curve)
+
+
+@pytest.mark.parametrize("kmax", [95, 102])
+def test_c2_check_refuses_a_fit_past_the_horizon(kmax):
+    # the fit runs from C2_K_LO = 100 to kmax - 2: at kmax 95 every window
+    # past the horizon reads 0 and gives NaN slopes, at 102 one window is fitted
+    curve = build_curve(SpiralParams(a=0.0), kmax=kmax, k1_min=9)
+    assert curve.k1 < 100
+    with pytest.raises(DomainError, match=r"kmax - 2 > 100"):
+        c2_check_at_zero(curve, strict=True)
 
 
 def test_sign_change_census(built_curve):
@@ -632,12 +653,13 @@ def test_replay_rejects_range_past_kmax():
 
 
 def test_replay_range_up_to_the_trajectory_table(built_curve):
-    # kmax = 130 000: the vertex table ends the range at k = kmax
+    # kmax = 130 000: the vertex table, like the sigma table, ends the range
+    # at k = kmax + 1
     params = SpiralParams(a=0.7)
-    with pytest.raises(DomainError, match=r"vertices 128001\.\.130001, past k = 130000"):
-        replay(built_curve, params, steps=2001, start_k=128_000, strict=False)
-    rep = replay(built_curve, params, steps=2000, start_k=128_000, strict=False)
-    assert (rep.steps, rep.termination) == (2000, None)
+    with pytest.raises(DomainError, match=r"vertices 128001\.\.130002, past k = 130001"):
+        replay(built_curve, params, steps=2002, start_k=128_000, strict=False)
+    rep = replay(built_curve, params, steps=2001, start_k=128_000, strict=False)
+    assert (rep.steps, rep.termination) == (2001, None)
 
 
 def test_build_rejects_bad_sigma_domain():

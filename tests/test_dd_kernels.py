@@ -168,7 +168,7 @@ def test_fused_kernels_equal_helper_forms_along_the_witness(built_curve, start):
     state = (*project_to_surface(cone, line.base), line.dir)
     for _ in range(64):
         p, p_tail, v = (x.tolist() for x in state)
-        t = geometry._intersect_ray(cone, *state)
+        t = geometry._intersect_ray(cone, *state, math.sqrt(state[0].dot(state[0])))
         gap, helper = geometry._make_gap(cone, p, p_tail, v), ref.make_gap(cone.deviation, p, p_tail, v)
         for s in (t + i * math.ulp(t) for i in range(-4, 5)):
             assert _bits([gap(s)]) == _bits([helper(s)])

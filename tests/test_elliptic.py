@@ -13,21 +13,19 @@ from conebilliards.geometry import (
 )
 from conebilliards.elliptic import (
     EllipticCone,
-    caustic_tangency_residual,
-    chord_angle_sin_sq,
-    h_identity_residual,
     integral_pair,
-    m12_sq_max,
     min_vertex_angle,
     next_intersection,
-    poisson_bracket_residual,
     reflection_bound,
     run,
     run_random,
     sample_start,
 )
 
-from oracles import alpha_theta_residuals, angle_to_integral_residual, line_distance_sq
+from oracles import (alpha_theta_residuals, angle_to_integral_residual, integral_drift,
+                     line_distance_sq, log_integrals, log_thetas, quadric)
+from paper_checks import (caustic_tangency_residual, chord_angle_sin_sq, h_identity_residual,
+                          m12_sq_max, poisson_bracket_residual)
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +86,17 @@ def test_I2_line_through_origin(cone):
 
 def test_integrals_constant_on_trajectory(cone, rng):
     log = _long_log(cone, rng)
-    pair = log.integrals()
+    pair = log_integrals(log)
     i1, i2 = pair.I1, pair.I2
     assert np.ptp(i1) / i1.max() < 1e-9
     assert np.ptp(i2) / max(np.abs(i2).max(), i1.max()) < 1e-9
     for vert in log.vertices:
-        assert abs(cone.quadric(vert)) < 1e-10 * max(1.0, float(vert @ vert))
+        assert abs(quadric(cone, vert)) < 1e-10 * max(1.0, float(vert @ vert))
 
 
 def test_log_integrals_equal_integral_pair(cone, rng):
     log = _long_log(cone, rng, min_vertices=6)
-    pair = log.integrals()
+    pair = log_integrals(log)
     assert pair.I1.shape == pair.I2.shape == (len(log.vertices) + 1,)
     for i, line in enumerate(_lines(log)):
         one = integral_pair(cone, line)
@@ -119,13 +117,13 @@ def test_next_intersection_semi_axes(cone):
 def test_next_intersection_residual_random(cone, rng):
     for _ in range(300):
         base = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.6)])
-        if cone.quadric(base) >= -1e-3:
+        if quadric(cone, base) >= -1e-3:
             continue
         line = OrientedLine(base, unit(rng.normal(size=3)))
         hit = next_intersection(cone, line.base, line.dir)
         if hit is Termination.ESCAPED:
             continue
-        assert abs(cone.quadric(hit)) < 1e-11 * max(1.0, float(np.dot(hit, hit)))
+        assert abs(quadric(cone, hit)) < 1e-11 * max(1.0, float(np.dot(hit, hit)))
         assert hit[2] > 0.0
 
 
@@ -177,7 +175,7 @@ def test_next_intersection_exit_root_mp_oracle(a, b):
     starts = []
     while len(starts) < 200:
         base = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.6)])
-        if cone.quadric(base) < 0.0:
+        if quadric(cone, base) < 0.0:
             starts.append((base, unit(rng.normal(size=3))))
     starts += [(ln.base, ln.dir) for ln in (sample_start(cone, rng) for _ in range(200))]
     escaped = 0
@@ -298,7 +296,7 @@ def test_run_alpha_theta_bookkeeping(cone, rng):
 def test_sum_theta_below_pi(cone, rng):
     for _ in range(100):
         log = run_random(cone, rng)
-        th = log.thetas()
+        th = log_thetas(log)
         if th.size:
             assert th.sum() < math.pi
 
@@ -351,7 +349,7 @@ def test_every_theta_exceeds_estimate(cone, rng):
         if pair.I2 <= 0.0 or len(log.vertices) < 2:
             continue
         lower = min_vertex_angle(cone, pair.I1, pair.I2)
-        assert log.thetas().min() > lower
+        assert log_thetas(log).min() > lower
 
 
 def test_chord_angle_closed_form(cone, rng):
@@ -462,13 +460,13 @@ def test_caustic_degenerate_lambda(cone):
 def test_sample_start_on_surface(cone, rng):
     for _ in range(50):
         line = sample_start(cone, rng)
-        assert abs(cone.quadric(line.base)) < 1e-12 * float(np.dot(line.base, line.base))
+        assert abs(quadric(cone, line.base)) < 1e-12 * float(np.dot(line.base, line.base))
         assert float(np.dot(line.dir, cone.inward_normal(line.base))) > 0.0
 
 
 def test_integral_drift_definition(cone, rng):
     log = _long_log(cone, rng)
-    d1, d2 = log.integral_drift()
+    d1, d2 = integral_drift(log)
     assert 0.0 <= d1 < 1e-9
     assert 0.0 <= d2 < 1e-9
 

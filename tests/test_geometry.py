@@ -17,16 +17,15 @@ from conebilliards.geometry import (
     angle_between,
     angular_momenta,
     cone_step_precise,
-    momentum_pairs,
+    momenta,
     reflect_direction,
-    simulate_wedge,
     unit,
-    wedge_reflection_count,
 )
 from conebilliards.spiral import SpiralTrajectory
 
 import scan_root_reference
 from oracles import alpha_theta_residuals, line_distance_sq, projected_distance_sq
+from paper_checks import simulate_wedge, wedge_reflection_count
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,17 +75,16 @@ def test_momenta_slide_property(seed):
 
 
 def test_momenta_stack_rows_equal_single_lines(rng):
-    for n in (2, 3, 5):
-        x, v = rng.normal(size=(7, n)), rng.normal(size=(7, n))
-        rows = angular_momenta(x, v)
-        assert rows.shape == (7, len(momentum_pairs(n)))
-        for i in range(7):
-            assert np.array_equal(rows[i], angular_momenta(x[i], v[i]))
-
-
-def test_momentum_pairs_order():
-    assert momentum_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert len(momentum_pairs(5)) == 10
+    # rows of a stack, one line's array and one line's floats: the same bits
+    x, v = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    rows = angular_momenta(x, v)
+    assert rows.shape == (7, 3)
+    for i in range(7):
+        assert np.array_equal(rows[i], angular_momenta(x[i], v[i]))
+        assert rows[i].tolist() == list(momenta(*x[i].tolist(), *v[i].tolist()))
+    for n in (2, 5):  # the m_ij are implemented in R^3
+        with pytest.raises(DomainError):
+            angular_momenta(rng.normal(size=(7, n)), rng.normal(size=(7, n)))
 
 
 def test_distance_sq_trivial():
@@ -123,9 +121,11 @@ def test_distance_sq_routes_agree(rng):
 
 
 def test_distance_sq_dimension_n(rng):
+    # the m_ij route is implemented in R^3 and refuses other dimensions
     for n in (2, 4, 6):
         line = OrientedLine(rng.uniform(-2, 2, n), unit(rng.normal(size=n)))
-        assert line_distance_sq(line) == pytest.approx(projected_distance_sq(line), abs=1e-12)
+        with pytest.raises(DomainError):
+            line_distance_sq(line)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,13 @@ def test_angle_near_pi():
     assert angle_between(u, w) == pytest.approx(math.pi - 1e-9, abs=1e-15)
 
 
-def test_angle_general_dimension():
+def test_angle_between_is_three_dimensional():
     u = unit([1.0, 0.0, 0.0, 0.0])
     w = unit([1.0, 1e-8, 0.0, 0.0])
-    assert angle_between(u, w) == pytest.approx(1e-8, abs=1e-15)
+    with pytest.raises(DomainError):
+        angle_between(u, w)
+    with pytest.raises(DomainError):
+        angle_between([1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +322,13 @@ def test_alpha_theta_rejects_short_or_mismatched_paths():
 
 def test_unit_and_angle_between_take_stacks(rng):
     # an (n, d) stack gives, bit for bit, what each row gives alone; the
-    # last two rows of w give the angles 0 and pi
+    # last two rows of w give the angles 0 and pi; angles are taken in R^3
     for d in (3, 4):
         x = rng.normal(size=(500, d)) * rng.uniform(1e-3, 1e3, (500, 1))
         u = unit(x)
         assert np.array_equal(u, np.array([unit(r) for r in x]))
+        if d != 3:
+            continue
         w = np.concatenate([unit(rng.normal(size=(498, d))), u[-2:-1], -u[-1:]])
         expected = [angle_between(a, b) for a, b in zip(u, w)]
         assert angle_between(u, w).tolist() == expected
@@ -533,7 +538,7 @@ def _fallback_root(cone, p, p_tail, v):
 
 def _predicted_root(cone, p, p_tail, v):
     """_intersect_ray's root, asserting it found one."""
-    t = geometry._intersect_ray(cone, p, p_tail, v)
+    t = geometry._intersect_ray(cone, p, p_tail, v, math.sqrt(p.dot(p)))
     assert isinstance(t, float), f"the predicted bracket found no root: {t}"
     return t
 
