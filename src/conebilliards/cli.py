@@ -432,7 +432,7 @@ def cmd_ndim_check(args) -> RunReport | int:
         print(f"convexity failed: {exc}", file=sys.stderr)
         return 1
     t_negdef = time.monotonic()
-    traj = SpiralTrajectory(args.a, kmax=max(curve.kmax, 10_000))
+    traj = SpiralTrajectory(args.a, kmax=curve.kmax + 1)
     emb = ndim.embedded_reflection_check(section, traj, count=args.steps)
     t_embed = time.monotonic()
     return RunReport(

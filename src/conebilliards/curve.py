@@ -160,18 +160,20 @@ class PolarCurve:
     each window [xi_{k+1}, xi_k].  Beyond the stored horizon kmax the
     deviation (< 1e-19 for kmax >= 1e5) is returned as exactly zero.
     Windows k < k1 are flat (rho - 1 is exactly +0.0): no xi > _xi_live is evaluated.
+    A float64 ``sigmas`` is held as it is, not copied, and its k <= k1 prefix zeroed
+    in place; only a curve with a larger k1 may write to it later.  build_curve's
+    candidates share one table so, and it marks the table read-only for the last.
     """
 
     def __init__(self, sigmas: np.ndarray, k1: int, kmax: int):
         self.kmax = int(kmax)
         self.k1 = int(k1)
-        sig = np.array(sigmas, dtype=float)
-        if sig.size != self.kmax + 2:
+        self._sig = np.asarray(sigmas, dtype=float)
+        if self._sig.size != self.kmax + 2:
             raise DomainError("sigma table must cover k = 0..kmax+1")
-        sig[: self.k1 + 1] = 0.0  # flat start: rho_k == 1 for k <= k1
+        self._sig[: self.k1 + 1] = 0.0  # flat start: rho_k == 1 for k <= k1
         self._xi_live = min(1.0, 1.0 / math.sqrt(max(self.k1, 1) - 0.5))
-        self._sig = sig
-        self._sig.setflags(write=False)
+        self._sigv = memoryview(self._sig)  # the scalar path reads it without a numpy call
 
     # -- evaluation ------------------------------------------------------------
     def deviation(self, xi_val):
@@ -190,7 +192,7 @@ class PolarCurve:
             if xx == 0.0 or 1.0 / xx > self.kmax:  # beyond horizon: |rho-1| < 1e-19
                 return 0.0, 0.0, 0.0
             k = int(1.0 / xx)
-            return _window_dev(x, float(k), self._sig.item(k), self._sig.item(k + 1), math)
+            return _window_dev(x, float(k), self._sigv[k], self._sigv[k + 1], math)
         x = np.asarray(xi_val, dtype=float)
         live = (x > 0.0) & (x <= self._xi_live)
         n_live = np.count_nonzero(live)
@@ -283,6 +285,7 @@ def build_curve(params: Optional[SpiralParams] = None, kmax: int = 130_000,
         curve = PolarCurve(sig, k1=k1, kmax=kmax)
         failed = np.nonzero(_window_minima(curve, np.array([k1, k1 + 1])) <= KAPPA_MIN)[0]
         if not failed.size:
+            sig.setflags(write=False)
             return curve
         k1 += int(failed[0]) + 1
     raise ConstructionError(f"no admissible k1 <= {kmax - 2} for threshold {KAPPA_MIN}")
@@ -395,7 +398,7 @@ def replay(
     cone = GeneralCone(curve)
     line = traj.line(k_start)
     base, tail = project_to_surface(cone, line.base)
-    bases, dirs = [base], [line.dir]
+    bases, dirs = [base], [line.dir.tolist()]
     termination = None
     for _ in range(steps):
         stepped = cone_step_precise(cone, bases[-1], tail, dirs[-1])

@@ -55,7 +55,7 @@ class EllipticCone:
         return [t * (self.a * math.cos(phi)), t * (self.b * math.sin(phi)), float(t)]
 
     def inward_normal(self, x) -> list:
-        return _normalized(np.array([-g for g in self.gradient(x)]))
+        return _normalized([-g for g in self.gradient(x)])
 
 
 def first_integrals(cone: EllipticCone, x, v) -> tuple:
@@ -161,9 +161,9 @@ def run(
     """Iterate reflections until escape, apex, grazing incidence, or max_steps.
 
     The base and direction go from one reflection to the next as Python
-    floats; the direction array ``reflect_direction`` returns is logged."""
-    bases, dirs = [line0.base.tolist()], [line0.dir]
-    p, v = bases[0], dirs[0].tolist()
+    floats, and are stacked into arrays once, at the end."""
+    bases, dirs = [line0.base.tolist()], [line0.dir.tolist()]
+    p, v = bases[0], dirs[0]
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
         hit = next_intersection(cone, p, v)
@@ -171,13 +171,13 @@ def run(
             termination = hit
             break
         try:
-            out = reflect_direction(dirs[-1], cone.gradient(hit))
+            out = reflect_direction(v, cone.gradient(hit))
         except GrazingError:
             termination = Termination.GRAZING
             break
         bases.append(hit)
         dirs.append(out)
-        p, v = hit, out.tolist()
+        p, v = hit, out
     return TrajectoryLog(cone, np.array(bases), np.array(dirs), termination, started_on_surface)
 
 

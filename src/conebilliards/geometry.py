@@ -27,6 +27,7 @@ BRACKET_LIMIT = 1e-2      # widest bracket around a predicted root, over |p|
 PREDICT_ROUNDS = 3        # frozen-rho quadric solves that predict a general-cone hit
 PROJECT_ROUNDS = 4        # Newton steps of project_to_surface
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
+DOT_TINY, DOT_HUGE = 2.0 ** -960, 2.0 ** 1000  # _dot's split products are exact between
 
 
 def near_apex(hit_norm: float, base_norm: float) -> bool:
@@ -78,15 +79,31 @@ def check_unit(v: list) -> None:
         raise DomainError(f"direction is not a finite unit vector within {UNIT_TOL}: |v| = {norm}")
 
 
-def _normalized(g: np.ndarray) -> list:
-    """g / sqrt(np.dot(g, g)) of a 1-d array, as Python floats: unit's bits
-    for a contiguous g.  The zero, overflow and finiteness test sums squares
-    on Python floats, which overflow to inf without a warning."""
-    gl = g.tolist()
-    if not 0.0 < sum(map(mul, gl, gl)) < math.inf:
+def _dot(x, y) -> float:
+    """np.dot(x, y) of two 3-sequences of Python floats, bit for bit and without an
+    array: OpenBLAS's ddot on fewer than 16 entries is the chain d = 0.0, d = fma(x_i,
+    y_i, d), and each fma is exact here.  A Veltkamp split makes x_i y_i four exact
+    products, whose sum with d math.fsum rounds correctly.  Other lengths, and products
+    outside [DOT_TINY, DOT_HUGE) where the split may not be exact, go to np.dot."""
+    if len(x) != 3:
+        return float(np.dot(x, y))
+    (a0, a1, a2), (b0, b1, b2) = x, y
+    h1, k1 = (c := _SPLITTER * a1) - (c - a1), (e := _SPLITTER * b1) - (e - b1)
+    h2, k2 = (c := _SPLITTER * a2) - (c - a2), (e := _SPLITTER * b2) - (e - b2)
+    if not (DOT_TINY <= abs(p1 := h1 * k1) < DOT_HUGE and DOT_TINY <= abs(p2 := h2 * k2) < DOT_HUGE):
+        return float(np.dot(x, y))
+    l1, m1, l2, m2 = a1 - h1, b1 - k1, a2 - h2, b2 - k2  # fma(a0, b0, 0.0) is a0 * b0 here
+    d = math.fsum((p1, h1 * m1, l1 * k1, l1 * m1, a0 * b0))
+    return math.fsum((p2, h2 * m2, l2 * k2, l2 * m2, d))
+
+
+def _normalized(g: list) -> list:
+    """g / sqrt(np.dot(g, g)) of Python floats: unit's bits.  The zero, overflow
+    and finiteness test sums squares first, on floats that overflow silently."""
+    if not 0.0 < sum(map(mul, g, g)) < math.inf:
         raise DomainError("cannot normalize a (near-)zero or overflowing vector")
-    s = math.sqrt(g.dot(g))
-    return [x / s for x in gl]
+    s = math.sqrt(_dot(g, g))
+    return [x / s for x in g]
 
 
 @dataclass(frozen=True)
@@ -123,28 +140,26 @@ def angular_momenta(x, v) -> np.ndarray:
     return np.stack(momenta(*np.moveaxis(x, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
 
 
-def reflect_direction(v, normal) -> np.ndarray:
-    """Specular reflection v - 2<v,n>n of a unit v, renormalized; n is
-    ``normal`` normalized, so any nonzero length will do.
+def reflect_direction(v, normal) -> list:
+    """Specular reflection v - 2<v,n>n of a unit v, renormalized, as Python
+    floats; n is ``normal`` normalized, so any nonzero length will do.
 
-    Tangential components are preserved, the normal component flips.  It
-    runs on Python floats, but the three dots that set bits (|normal|,
-    <v,n> and |w|) go through np.dot, whose FMA chain on 3-vectors a plain
-    Python sum does not reproduce.
+    Tangential components are preserved, the normal component flips.  |normal|,
+    <v,n> and |w| are _dot's: np.dot's bits, by an exact fma chain in R^3.
     """
-    v, g = np.asarray(v, dtype=float), np.asarray(normal, dtype=float)
-    if v.ndim != 1 or v.shape != g.shape or v.size < 2:
-        raise DomainError(f"need a direction and a normal of one dimension >= 2, "
-                          f"got shapes {v.shape} and {g.shape}")
-    vl = v.tolist()
+    vl = v if type(v) is list else [*map(float, v)]
+    g = normal if type(normal) is list else [*map(float, normal)]
+    if len(vl) != len(g) or len(vl) < 2:
+        raise DomainError(f"need a direction and a normal of a dimension >= 2, got {len(vl)}, {len(g)}")
     check_unit(vl)
     nl = _normalized(g)
-    vn = float(v.dot(np.array(nl)))
+    vn = _dot(vl, nl)
     if abs(vn) < GRAZING_TOL:
         raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
     c = 2.0 * vn
-    w = np.array([x - c * n for x, n in zip(vl, nl)])
-    return w / math.sqrt(w.dot(w))  # |w| = |v| to rounding: nothing to refuse
+    w = [x - c * n for x, n in zip(vl, nl)]
+    s = math.sqrt(_dot(w, w))  # |w| = |v| to rounding: nothing to refuse
+    return [x / s for x in w]
 
 
 def angle_between(u, w):
@@ -223,39 +238,39 @@ class GeneralCone:
         last[0], last[1] = xi, value
         return value
 
-    def normal_at(self, point) -> np.ndarray:
+    def normal_at(self, point) -> list:
         """Surface normal e1 x e2, not unit, with e1 the ruling through the
-        point and e2 the lifted section tangent."""
-        xi = math.atan2(float(point[1]), float(point[0]))
+        point and e2 the lifted section tangent, as Python floats."""
+        xi = math.atan2(point[1], point[0])
         d, d1, _ = self.deviation(xi)
         r, r1 = 1.0 + float(d), float(d1)
         cx, sx = math.cos(xi), math.sin(xi)
         ax, ay, bx, by = r * cx, r * sx, r1 * cx - r * sx, r1 * sx + r * cx
         # e1 = (ax, ay, 1) x e2 = (bx, by, 0), product for product as np.cross forms it
-        return np.array([ay * 0.0 - by, bx - ax * 0.0, ax * by - ay * bx])
+        return [ay * 0.0 - by, bx - ax * 0.0, ax * by - ay * bx]
 
 
-def _escapes(cone: GeneralCone, direction) -> bool:
+def _escapes(cone: GeneralCone, direction: list) -> bool:
     # A ray from strictly inside stays inside iff its direction lies in the
     # closed solid cone (the region is a convex cone).
-    v0, v1, v2 = map(float, direction)
+    v0, v1, v2 = direction
     if v2 <= 0.0:
         return False
     rho = 1.0 + float(cone.deviation(math.atan2(v1, v0))[0])
     return math.hypot(v0, v1) / v2 <= rho
 
 
-def _make_gap(cone: GeneralCone, p, p_tail, v):
+def _make_gap(cone: GeneralCone, p: list, p_tail: list, v: list):
     """Compensated sign function of x^2 + y^2 - z^2 rho(xi)^2 along the ray.
 
     Negative strictly inside the solid cone, positive outside it, and +inf
     at or below the apex plane z <= 0, where the other nappe would give a
     spurious negative value.  ``p_tail`` is the double-double tail of the
-    base point (zero for a plain line).  v is split once per ray, t once
-    per call.
+    base point (zero for a plain line).  All three are Python floats.  v is
+    split once per ray, t once per call.
     """
     deviation = cone.deviation
-    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = map(float, p), map(float, p_tail), map(float, v)
+    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
     c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
     u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)  # v = u + w, once per ray
     w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
@@ -308,16 +323,16 @@ def _make_gap(cone: GeneralCone, p, p_tail, v):
 
 def project_to_surface(cone: GeneralCone, p) -> tuple:
     """p moved onto the surface along the unit normal N/|N|, N = normal_at(p),
-    as the compensated pair (p, p_tail): Newton steps on the compensated gap,
-    whose slope is -2 z |N| (on the surface grad(r^2 - z^2 rho^2) = -2 z N)."""
+    as the 3-lists (p, p_tail): Newton steps on the compensated gap, whose
+    slope is -2 z |N| (on the surface grad(r^2 - z^2 rho^2) = -2 z N)."""
     pl, zero = [float(x) for x in p], [0.0, 0.0, 0.0]
     n = cone.normal_at(pl)
-    norm = math.sqrt(n.dot(n))
-    nl = (n / norm).tolist()
+    norm = math.sqrt(_dot(n, n))
+    nl = [x / norm for x in n]
     gap, s = _make_gap(cone, pl, zero, nl), 0.0
     for _ in range(PROJECT_ROUNDS):
         s += gap(s) / (2.0 * pl[2] * norm)
-    return tuple(map(np.array, _ray_point(pl, zero, s, nl)))
+    return _ray_point(pl, zero, s, nl)
 
 
 def _predictor_head(p: list, p_tail: list, v: list) -> tuple:
@@ -423,8 +438,8 @@ def _bisect(gap, lo: float, g_lo: float, hi: float, g_hi: float) -> float:
             hi, g_hi = mid, g_mid
 
 
-def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
-                   v: np.ndarray, p_norm: float) -> Union[float, Termination]:
+def _intersect_ray(cone: GeneralCone, p: list, p_tail: list, v: list,
+                   p_norm: float) -> Union[float, Termination]:
     """Root t of the surface crossing; ESCAPED when the ray never returns,
     APEX or NO_BRACKET when the search finds no sign change to bisect.
     ``p_norm`` is |p| as np.linalg.norm gives it.
@@ -439,11 +454,10 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
     other NO_BRACKET."""
     scale = max(p_norm, 1e-12)
     t_min = T_MIN_FACTOR * scale
-    pl, tl, vl = p.tolist(), p_tail.tolist(), v.tolist()
-    if _escapes(cone, vl):
+    if _escapes(cone, v):
         return Termination.ESCAPED
-    gap = _make_gap(cone, pl, tl, vl)
-    t = _predict_root(cone, pl, tl, vl, t_min)
+    gap = _make_gap(cone, p, p_tail, v)
+    t = _predict_root(cone, p, p_tail, v, t_min)
     if t is not None:
         g = gap(t)
         side, width = (1.0 if g < 0.0 else -1.0), 4.0 * math.ulp(t)  # inside: the exit is ahead
@@ -458,35 +472,35 @@ def _intersect_ray(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
                 return _bisect(gap, end, g_end, t, g)
             t, g = end, g_end
             width *= 4.0
-    t = -sum(map(mul, pl, vl))  # the closest approach to the apex
-    near = t > 0.0 and near_apex(math.hypot(*(x + t * y for x, y in zip(pl, vl))), scale)
+    t = -sum(map(mul, p, v))  # the closest approach to the apex
+    near = t > 0.0 and near_apex(math.hypot(*(x + t * y for x, y in zip(p, v))), scale)
     return Termination.APEX if near else Termination.NO_BRACKET
 
 
-def cone_step_precise(cone: GeneralCone, p: np.ndarray, p_tail: np.ndarray,
-                      v: np.ndarray) -> Union[tuple, Termination]:
-    """Advance one reflection of the ray from the base p + p_tail along v:
-    the first surface hit as the compensated pair (hit, hit_tail) and the
-    direction ``out`` reflected off the surface normal there; or ESCAPED,
-    APEX, GRAZING or NO_BRACKET.
+def cone_step_precise(cone: GeneralCone, p: list, p_tail: list,
+                      v: list) -> Union[tuple, Termination]:
+    """Advance one reflection of the ray from the base p + p_tail along v,
+    three 3-lists of Python floats: the first surface hit as the compensated
+    pair (hit, hit_tail) and the direction ``out`` reflected off the surface
+    normal there, 3-lists too; or ESCAPED, APEX, GRAZING or NO_BRACKET.
 
     Grazing reflections amplify any off-surface error of the base by
     1/<v,n> (10^3..10^5 on the accumulating trajectory), so long replays
     carry the base's double-double tail p_tail (zeros for a plain line);
     directions stay plain float64, their errors are not grazing-amplified.
     """
-    if p.size != 3:
+    if len(p) != 3:
         raise DomainError("general-cone stepping is implemented in R^3")
-    p_norm = math.sqrt(p.dot(p))  # np.linalg.norm's bits
+    p_norm = math.sqrt(_dot(p, p))  # np.linalg.norm's bits
     t_hit = _intersect_ray(cone, p, p_tail, v, p_norm)
     if isinstance(t_hit, Termination):
         return t_hit
-    hl, tl = _ray_point(p.tolist(), p_tail.tolist(), t_hit, v.tolist())
-    hit = np.array(hl)
-    if near_apex(math.sqrt(hit.dot(hit)), p_norm):
+    hit, tail = _ray_point(p, p_tail, t_hit, v)
+    # |hit| >= |hit_z| (1 - eps): a hit twice the apex radius up is not near it
+    if abs(hit[2]) < 2.0 * APEX_TOL * max(1.0, p_norm) and near_apex(math.sqrt(_dot(hit, hit)), p_norm):
         return Termination.APEX
     try:
-        out = reflect_direction(v, cone.normal_at(hl))
+        out = reflect_direction(v, cone.normal_at(hit))
     except GrazingError:
         return Termination.GRAZING
-    return hit, np.array(tl), out
+    return hit, tail, out

@@ -233,8 +233,11 @@ def embedded_reflection_check(
     puts zeros in those slots: max_perpendicular_residual reads those
     slots, is zero by construction and says nothing about the lift.
     """
-    n = section.n
+    n, kmax = section.n, section.curve.kmax
     k_start = max(section.curve.k1 + 1, trajectory.k0)
+    if k_start + count - 1 > kmax:  # q_{k+1} of the built curve fixes direction k
+        raise DomainError(f"the embedded check compares vertices {k_start}..{k_start + count - 1}, "
+                          f"past the curve's kmax = {kmax}")
     ks = np.arange(k_start, k_start + count)
     v_in = trajectory.direction(ks - 1)      # (count, 3): planar components...
     v_out = trajectory.direction(ks)

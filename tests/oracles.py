@@ -5,19 +5,24 @@ chord, the elliptic quadric and parameter angle of a point, the
 prescribed normal frame of the witness section at q_k and the built
 curve's normal, and the log-by-log integrals, apex angles and drift of an
 elliptic trajectory, the oracle of the one-pass accounting of
-``billiards elliptic simulate``.  Only the tests call them.
+``billiards elliptic simulate``, the array forms of the reflection and its
+normalization that the float forms replaced, and an exact fma chain, the
+oracle of np.dot on short vectors.  Only the tests call them.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from conebilliards.curve import PolarCurve
 from conebilliards.elliptic import (EllipticCone, IntegralPair, TrajectoryLog, first_integrals,
                                     integral_pair)
-from conebilliards.errors import DomainError
-from conebilliards.geometry import OrientedLine, _dots, angle_between, angular_momenta, unit
+from conebilliards.errors import DomainError, GrazingError
+from conebilliards.geometry import (GRAZING_TOL, OrientedLine, _dots, angle_between,
+                                    angular_momenta, check_unit, unit)
 from conebilliards.ndim import LiftedSection
 from conebilliards.spiral import sigma, xi
 
@@ -149,3 +154,45 @@ def integral_drift(log: TrajectoryLog) -> tuple:
     d1 = float(np.ptp(pair.I1) / i1_max)
     d2 = float(np.ptp(pair.I2) / max(np.abs(pair.I2).max(), i1_max))
     return d1, d2
+
+
+def fma_chain(x, y) -> float:
+    """np.dot of two sequences of 2 to 15 floats as this package assumes it:
+    OpenBLAS's ddot, d = 0.0, then d = fma(x_i, y_i, d) for each i, each fma
+    rounded once from the exact rational x_i y_i + d; numpy adds the result
+    to a sum that starts at +0.0, so a -0.0 chain reads +0.0."""
+    d = 0.0
+    for a, b in zip(x, y):
+        exact = Fraction(a) * Fraction(b) + Fraction(d)
+        # an exact zero is +0.0 unless a zero factor adds a signed zero to d
+        d = float(exact) if exact or (a and b) else a * b + d
+    return 0.0 + d
+
+
+def normalized_array(g: np.ndarray) -> list:
+    """g / sqrt(np.dot(g, g)) of a 1-d array, as Python floats: the array
+    form of geometry._normalized, kept as its oracle."""
+    gl = g.tolist()
+    if not 0.0 < sum(map(mul, gl, gl)) < math.inf:
+        raise DomainError("cannot normalize a (near-)zero or overflowing vector")
+    s = math.sqrt(g.dot(g))
+    return [x / s for x in gl]
+
+
+def reflect_direction_array(v, normal) -> np.ndarray:
+    """v - 2<v,n>n renormalized, with the three dots that set bits through
+    np.dot on arrays: the array form of geometry.reflect_direction, kept as
+    its oracle."""
+    v, g = np.asarray(v, dtype=float), np.asarray(normal, dtype=float)
+    if v.ndim != 1 or v.shape != g.shape or v.size < 2:
+        raise DomainError(f"need a direction and a normal of one dimension >= 2, "
+                          f"got shapes {v.shape} and {g.shape}")
+    vl = v.tolist()
+    check_unit(vl)
+    nl = normalized_array(g)
+    vn = float(v.dot(np.array(nl)))
+    if abs(vn) < GRAZING_TOL:
+        raise GrazingError(f"grazing incidence: |<v,n>| = {abs(vn)} < {GRAZING_TOL}")
+    c = 2.0 * vn
+    w = np.array([x - c * n for x, n in zip(vl, nl)])
+    return w / math.sqrt(w.dot(w))

@@ -363,6 +363,19 @@ def test_replay_range_up_to_the_trajectory_table(tmp_path, capsys):
                  "--report", str(tmp_path / "rep.json")]) == 0
 
 
+def test_ndim_check_range_up_to_kmax(tmp_path, capsys):
+    # the embedded check compares vertices k1 + 1 .. k1 + --steps, which the
+    # built curve fixes up to k = kmax: from k1 + 1 = 67, 35 steps reach 101
+    assert main(["ndim", "check", "--kmax", "100", "--grid", "100", "--steps", "34",
+                 "--report", str(tmp_path / "rep.json")]) == 0
+    for steps in ("35", "10000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ndim", "check", "--kmax", "100", "--grid", "100", "--steps", steps])
+        assert exc.value.code == 2
+        assert (f"error: the embedded check compares vertices 67..{66 + int(steps)}, past the "
+                f"curve's kmax = 100") in capsys.readouterr().err
+
+
 def test_replay_command(tmp_path):
     rep = tmp_path / "rep.json"
     assert main(["replay", "--a", "0", "--steps", "150", "--kmax", "20000",

@@ -463,6 +463,20 @@ def test_window_minima_equal_per_window_minima(built_curve, count):
     assert _window_minima(built_curve, windows).tobytes() == np.array(want).tobytes()
 
 
+def test_candidate_curves_share_one_sigma_table():
+    # a curve holds the table it is given, not a copy, and zeroes its own
+    # k <= k1 prefix in place; build_curve leaves its final table read-only
+    kmax = 2000
+    sig = np.zeros(kmax + 2)
+    sig[2:] = spiral.sigma(np.arange(2, kmax + 2, dtype=float))
+    want = sig.copy()
+    for k1 in (9, 20):
+        assert PolarCurve(sig, k1=k1, kmax=kmax)._sig is sig
+        assert not sig[:k1 + 1].any() and sig[k1 + 1:].tobytes() == want[k1 + 1:].tobytes()
+    assert sig.flags.writeable
+    assert not build_curve(kmax=kmax, k1_min=9)._sig.flags.writeable
+
+
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
@@ -523,12 +537,12 @@ def test_replay_states_pinned(built_curve):
     # taken from the scan-plus-bisection stepper before the predicted root
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1)
-    state = (line.base, np.zeros(3), line.dir)
+    state = (line.base.tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
     digest = hashlib.sha256()
     for _ in range(200):
         state = cone_step_precise(cone, *state)
         for part in state:
-            digest.update(part.tobytes())
+            digest.update(np.asarray(part).tobytes())
     assert digest.hexdigest() == "38126dc0e06da31147f772d34de395e283b4e10a9ee49aa7e84e763fa4234922"
 
 
@@ -544,12 +558,12 @@ def test_deep_replay_states_pinned(built_curve, k, expected):
     # at k, taken before the cone memoized its section evaluations
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
-    state = (line.base, np.zeros(3), line.dir)
+    state = (line.base.tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
     digest = hashlib.sha256()
     for _ in range(300):
         state = cone_step_precise(cone, *state)
         for part in state:
-            digest.update(part.tobytes())
+            digest.update(np.asarray(part).tobytes())
     assert digest.hexdigest() == expected
 
 
@@ -575,7 +589,7 @@ def test_projected_start_against_mpmath_oracle(built_curve, k):
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
     p, p_tail = project_to_surface(cone, line.base)
-    assert abs(_make_gap(cone, p, p_tail, line.dir)(0.0)) <= 1e-30 * float(p.dot(p))
+    assert abs(_make_gap(cone, p, p_tail, line.dir.tolist())(0.0)) <= 1e-30 * float(np.dot(p, p))
     hit, hit_tail, _ = cone_step_precise(cone, p, p_tail, line.dir)
     with mp.workdps(30):
         ref = _mp_vertex(k + 1)

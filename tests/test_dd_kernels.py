@@ -146,7 +146,7 @@ def test_early_stopped_predictor_equals_capped_one_on_c2_cone(built_curve, start
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
     rng = np.random.Generator(np.random.Philox(k))
-    state = (*project_to_surface(cone, line.base), line.dir)
+    state = (*project_to_surface(cone, line.base), line.dir.tolist())
     for _ in range(64):
         p, p_tail, v = state
         assert _same_prediction(cone, p, p_tail, v)
@@ -165,10 +165,10 @@ def test_fused_kernels_equal_helper_forms_along_the_witness(built_curve, start):
     k = built_curve.k1 + 1 if start == "k1+1" else start
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(k)
-    state = (*project_to_surface(cone, line.base), line.dir)
+    state = (*project_to_surface(cone, line.base), line.dir.tolist())
     for _ in range(64):
-        p, p_tail, v = (x.tolist() for x in state)
-        t = geometry._intersect_ray(cone, *state, math.sqrt(state[0].dot(state[0])))
+        p, p_tail, v = state
+        t = geometry._intersect_ray(cone, *state, math.sqrt(np.dot(p, p)))
         gap, helper = geometry._make_gap(cone, p, p_tail, v), ref.make_gap(cone.deviation, p, p_tail, v)
         for s in (t + i * math.ulp(t) for i in range(-4, 5)):
             assert _bits([gap(s)]) == _bits([helper(s)])
@@ -184,7 +184,7 @@ def test_step_calls_into_geometry_stay_fused(built_curve):
     # helper form made 176 calls a step
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1)
-    state = (*project_to_surface(cone, line.base), line.dir)
+    state = (*project_to_surface(cone, line.base), line.dir.tolist())
     calls = 0
 
     def count(frame, event, arg):

@@ -371,7 +371,7 @@ def circular_cone():
 
 
 def _step(cone, line):
-    return cone_step_precise(cone, line.base, np.zeros(3), line.dir)
+    return cone_step_precise(cone, line.base.tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
 
 
 def _circular_root(p, v):
@@ -538,7 +538,7 @@ def _fallback_root(cone, p, p_tail, v):
 
 def _predicted_root(cone, p, p_tail, v):
     """_intersect_ray's root, asserting it found one."""
-    t = geometry._intersect_ray(cone, p, p_tail, v, math.sqrt(p.dot(p)))
+    t = geometry._intersect_ray(cone, p, p_tail, v, math.sqrt(np.dot(p, p)))
     assert isinstance(t, float), f"the predicted bracket found no root: {t}"
     return t
 
@@ -554,7 +554,7 @@ def test_predicted_root_equals_fallback_root(circular_cone, z, s, phi, beta, psi
     v = unit([math.sin(beta) * math.cos(psi), math.sin(beta) * math.sin(psi), math.cos(beta)])
     line = OrientedLine(p, v)
     assume(line_distance_sq(line) > (2.0 * APEX_TOL * max(1.0, float(np.linalg.norm(p)))) ** 2)
-    state = (line.base, np.zeros(3), line.dir)
+    state = (line.base.tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
     for _ in range(2):
         if geometry._escapes(circular_cone, state[2]):
             return
@@ -574,7 +574,7 @@ def test_predicted_root_equals_fallback_root_on_c2_cone(built_curve, start):
     rng = np.random.Generator(np.random.Philox(k))
     for inward in (0.0, 1e-6, 1e-4):
         shrink = 1.0 - inward * rng.uniform(0.5, 1.0)
-        state = (line.base * [shrink, shrink, 1.0], np.zeros(3), line.dir)
+        state = ((line.base * [shrink, shrink, 1.0]).tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
         for _ in range(16):
             assert _predicted_root(cone, *state) == _fallback_root(cone, *state)
             state = cone_step_precise(cone, *state)
