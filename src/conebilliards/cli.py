@@ -305,9 +305,9 @@ def cmd_spiral_vertices(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_curve_from_args(args):
-    """The section curve for --a, --kmax and --k1-min; exits 2 if it cannot be built."""
+    """The section curve for --kmax and --k1-min; exits 2 if it cannot be built."""
     try:
-        return curve_mod.build_curve(SpiralParams(a=args.a), kmax=args.kmax, k1_min=args.k1_min)
+        return curve_mod.build_curve(kmax=args.kmax, k1_min=args.k1_min)
     except (ConstructionError, DomainError) as exc:
         raise _fail(f"curve construction failed: {exc}")
 
@@ -369,8 +369,7 @@ def cmd_curve_build(args) -> RunReport:
     census = curve_mod.sign_change_census(curve, curve.k1 + 1, min(curve.k1 + 2000, curve.kmax - 2))
     return RunReport(
         command="curve build",
-        config={"a": args.a, "kmax": args.kmax, "k1_min": args.k1_min, "grid": args.grid,
-                "out": str(out_dir)},
+        config={"kmax": args.kmax, "k1_min": args.k1_min, "grid": args.grid, "out": str(out_dir)},
         passed=kap_min > 0.5,
         checks={"kappa_min_sampled": kap_min,
                 "sign_changes_first_2000": census},
@@ -393,7 +392,7 @@ def cmd_curve_export(args) -> int:
 
 def cmd_replay(args) -> RunReport | int:
     t0 = time.monotonic()
-    params = SpiralParams(a=args.a)
+    params = SpiralParams(a=args.a)  # --a is refused before the curve is built
     curve = _build_curve_from_args(args)
     t1 = time.monotonic()
     try:
@@ -401,6 +400,7 @@ def cmd_replay(args) -> RunReport | int:
     except ReplayFailure as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
+    length_infinite = math.isinf(rep.total_length)  # at a = pi/2, with the remaining length
     return RunReport(
         command="replay",
         config={"a": args.a, "steps": args.steps, "kmax": args.kmax, "k1_min": args.k1_min},
@@ -408,14 +408,15 @@ def cmd_replay(args) -> RunReport | int:
         checks={
             "max_vertex_rel_error": rep.max_vertex_rel_error,
             "max_distance_sq_error": rep.max_distance_sq_error,
+            "length_infinite": length_infinite,
         },
         measured={
             "start_k": rep.start_k,
             "flight_length": rep.simulated_length,
             "prefix_length": rep.prefix_length,
             "closed_form_length": rep.closed_form_length,
-            "remaining_length": rep.tail_length,
-            "total_length": rep.total_length,
+            "remaining_length": None if length_infinite else rep.tail_length,
+            "total_length": None if length_infinite else rep.total_length,
         },
         timings={"build": t1 - t0, "replay": time.monotonic() - t1},
     )
@@ -423,6 +424,7 @@ def cmd_replay(args) -> RunReport | int:
 
 def cmd_ndim_check(args) -> RunReport | int:
     t0 = time.monotonic()
+    params = SpiralParams(a=args.a)  # --a is refused before the curve is built
     curve = _build_curve_from_args(args)
     t_build = time.monotonic()
     section = ndim.LiftedSection(curve, n=args.n)
@@ -432,7 +434,7 @@ def cmd_ndim_check(args) -> RunReport | int:
         print(f"convexity failed: {exc}", file=sys.stderr)
         return 1
     t_negdef = time.monotonic()
-    traj = SpiralTrajectory(args.a, kmax=curve.kmax + 1)
+    traj = SpiralTrajectory(params.a, kmax=curve.kmax + 1)
     emb = ndim.embedded_reflection_check(section, traj, count=args.steps)
     t_embed = time.monotonic()
     return RunReport(
@@ -478,8 +480,8 @@ def _command(sub, name: str, func, help: str, *flags: str) -> argparse.ArgumentP
 
 
 def _curve_command(sub, name: str, func, help: str, *flags: str) -> argparse.ArgumentParser:
-    """A command that builds the section curve from --a, --kmax and --k1-min."""
-    p = _command(sub, name, func, help, "--a", *flags)
+    """A command that builds the section curve from --kmax and --k1-min."""
+    p = _command(sub, name, func, help, *flags)
     p.add_argument("--kmax", type=_bounded(int, 1, MAX_KMAX), default=130_000)
     p.add_argument("--k1-min", type=int, default=9)
     return p
@@ -524,12 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_bounded(int, 4, MAX_GRID), default=2000)
 
     _curve_command(sub, "replay", cmd_replay, "simulate on the built cone vs closed form",
-                   "--steps", "--report")
+                   "--a", "--steps", "--report")
 
     sn = sub.add_parser("ndim", help="R^n convexity and embedding checks").add_subparsers(
         dest="subcommand", required=True)
     chk = _curve_command(sn, "check", cmd_ndim_check, "Hessian sweep + embedded reflections",
-                         "--steps", "--report")
+                         "--a", "--steps", "--report")
     chk.add_argument("--n", type=_bounded(int, 3, MAX_N), default=4)
     chk.add_argument("--grid", type=_bounded(int, 1, MAX_GRID), default=10_000)
     return parser

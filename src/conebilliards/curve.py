@@ -226,8 +226,7 @@ class PolarCurve:
         """Polar curvature |rho^2 + 2 rho'^2 - rho rho''| / (rho^2 + rho'^2)^(3/2)."""
         r, r1, r2 = self.polar(xi_val)
         rr = r * r
-        out = np.abs(rr + 2.0 * r1 * r1 - r * r2) / np.power(rr + r1 * r1, 1.5)
-        return float(out) if out.ndim == 0 else out
+        return np.abs(rr + 2.0 * r1 * r1 - r * r2) / np.power(rr + r1 * r1, 1.5)
 
     def window_samples(self, k, count: int) -> np.ndarray:
         """``count`` equispaced points of the window [xi_{k+1}, xi_k]; for an

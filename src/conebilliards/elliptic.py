@@ -136,7 +136,6 @@ class TrajectoryLog:
     launch line first, then each vertex with its outgoing direction.
     """
 
-    cone: EllipticCone
     bases: np.ndarray
     dirs: np.ndarray
     termination: Termination
@@ -178,7 +177,7 @@ def run(
         bases.append(hit)
         dirs.append(out)
         p, v = hit, out
-    return TrajectoryLog(cone, np.array(bases), np.array(dirs), termination, started_on_surface)
+    return TrajectoryLog(np.array(bases), np.array(dirs), termination, started_on_surface)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ def near_apex(hit_norm: float, base_norm: float) -> bool:
 
 
 def _vec(x) -> np.ndarray:
-    """A finite vector of dimension >= 2, or an (n, d) array of them, one per row."""
+    """A finite vector in R^3, or an (n, 3) array of them, one per row."""
     v = np.asarray(x, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] < 2:
-        raise DomainError(f"expected a vector or an (n, d) stack of dimension >= 2, "
-                          f"got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise DomainError(f"expected a vector in R^3 or an (n, 3) stack of them, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise DomainError("vector has non-finite coordinates")
     return v
@@ -83,26 +82,30 @@ def _dot(x, y) -> float:
     """np.dot(x, y) of two 3-sequences of Python floats, bit for bit and without an
     array: OpenBLAS's ddot on fewer than 16 entries is the chain d = 0.0, d = fma(x_i,
     y_i, d), and each fma is exact here.  A Veltkamp split makes x_i y_i four exact
-    products, whose sum with d math.fsum rounds correctly.  Other lengths, and products
-    outside [DOT_TINY, DOT_HUGE) where the split may not be exact, go to np.dot."""
-    if len(x) != 3:
-        return float(np.dot(x, y))
+    products, whose sum with d math.fsum rounds correctly.  Products outside
+    [DOT_TINY, DOT_HUGE), where the split may not be exact, and sums that leave the
+    float range go to np.dot, whose overflow gives inf as silently as float arithmetic."""
     (a0, a1, a2), (b0, b1, b2) = x, y
     h1, k1 = (c := _SPLITTER * a1) - (c - a1), (e := _SPLITTER * b1) - (e - b1)
     h2, k2 = (c := _SPLITTER * a2) - (c - a2), (e := _SPLITTER * b2) - (e - b2)
-    if not (DOT_TINY <= abs(p1 := h1 * k1) < DOT_HUGE and DOT_TINY <= abs(p2 := h2 * k2) < DOT_HUGE):
+    if DOT_TINY <= abs(p1 := h1 * k1) < DOT_HUGE and DOT_TINY <= abs(p2 := h2 * k2) < DOT_HUGE:
+        l1, m1, l2, m2 = a1 - h1, b1 - k1, a2 - h2, b2 - k2  # fma(a0, b0, 0.0) is a0 * b0 here
+        try:  # fsum raises where a partial sum overflows
+            d = math.fsum((p1, h1 * m1, l1 * k1, l1 * m1, a0 * b0))
+            return math.fsum((p2, h2 * m2, l2 * k2, l2 * m2, d))
+        except OverflowError:
+            pass
+    with np.errstate(over="ignore"):
         return float(np.dot(x, y))
-    l1, m1, l2, m2 = a1 - h1, b1 - k1, a2 - h2, b2 - k2  # fma(a0, b0, 0.0) is a0 * b0 here
-    d = math.fsum((p1, h1 * m1, l1 * k1, l1 * m1, a0 * b0))
-    return math.fsum((p2, h2 * m2, l2 * k2, l2 * m2, d))
 
 
 def _normalized(g: list) -> list:
-    """g / sqrt(np.dot(g, g)) of Python floats: unit's bits.  The zero, overflow
-    and finiteness test sums squares first, on floats that overflow silently."""
-    if not 0.0 < sum(map(mul, g, g)) < math.inf:
+    """g / sqrt(np.dot(g, g)) of a 3-list of Python floats: unit's bits.  A zero,
+    overflowing or non-finite |g|^2 is refused."""
+    s = _dot(g, g)
+    if not 0.0 < s < math.inf:
         raise DomainError("cannot normalize a (near-)zero or overflowing vector")
-    s = math.sqrt(_dot(g, g))
+    s = math.sqrt(s)
     return [x / s for x in g]
 
 
@@ -115,9 +118,9 @@ class OrientedLine:
 
     def __post_init__(self):
         base, d = np.asarray(self.base, dtype=float), np.asarray(self.dir, dtype=float)
-        if (base.ndim != 1 or base.shape != d.shape or base.size < 2
+        if (base.shape != (3,) or d.shape != (3,)
                 or not all(map(math.isfinite, base.tolist()))):  # on Python floats
-            raise DomainError(f"need a finite base and a dir of one dimension >= 2, "
+            raise DomainError(f"need a finite base and a dir in R^3, "
                               f"got shapes {base.shape} and {d.shape}")
         check_unit(d.tolist())  # which refuses a non-finite dir
         object.__setattr__(self, "base", base)
@@ -141,16 +144,16 @@ def angular_momenta(x, v) -> np.ndarray:
 
 
 def reflect_direction(v, normal) -> list:
-    """Specular reflection v - 2<v,n>n of a unit v, renormalized, as Python
-    floats; n is ``normal`` normalized, so any nonzero length will do.
+    """Specular reflection v - 2<v,n>n of a unit v in R^3, renormalized, as
+    Python floats; n is ``normal`` normalized, so any nonzero length will do.
 
     Tangential components are preserved, the normal component flips.  |normal|,
-    <v,n> and |w| are _dot's: np.dot's bits, by an exact fma chain in R^3.
+    <v,n> and |w| are _dot's: np.dot's bits, by an exact fma chain.
     """
     vl = v if type(v) is list else [*map(float, v)]
     g = normal if type(normal) is list else [*map(float, normal)]
-    if len(vl) != len(g) or len(vl) < 2:
-        raise DomainError(f"need a direction and a normal of a dimension >= 2, got {len(vl)}, {len(g)}")
+    if len(vl) != 3 or len(g) != 3:
+        raise DomainError(f"need a direction and a normal in R^3, got dimensions {len(vl)}, {len(g)}")
     check_unit(vl)
     nl = _normalized(g)
     vn = _dot(vl, nl)
@@ -166,8 +169,6 @@ def angle_between(u, w):
     """Angle in [0, pi] between two unit vectors in R^3, accurate near 0 and
     pi; for (n, 3) stacks, the array of the n row-by-row angles."""
     u, w = _vec(u), _vec(w)
-    if u.shape[-1] != 3 or w.shape[-1] != 3:
-        raise DomainError(f"angles are implemented in R^3, got shapes {u.shape} and {w.shape}")
     c = np.cross(u, w)
     return _atan2(np.sqrt(_dots(c, c)), _dots(u, w))
 

@@ -80,14 +80,10 @@ class LiftedSection:
         return xi
 
     def f1(self, x2):
-        """(f1, f1', f1'') at x2, by the chain rule through xi, evaluated once
-        per distinct x2."""
-        scalar = np.ndim(x2) == 0
-        x2, back = np.unique(np.atleast_1d(x2), return_inverse=True)
-        f, fp, fpp = (a[back] for a in self._f1_at_xi(self._xi_from_x2(x2)))
-        if scalar:
-            return float(f[0]), float(fp[0]), float(fpp[0])
-        return f, fp, fpp
+        """(f1, f1', f1'') at an array of x2, by the chain rule through xi,
+        evaluated once per distinct x2."""
+        x2, back = np.unique(x2, return_inverse=True)
+        return tuple(a[back] for a in self._f1_at_xi(self._xi_from_x2(x2)))
 
     def _f1_at_xi(self, xi_v):
         r, r1, r2 = self.curve.polar(xi_v)

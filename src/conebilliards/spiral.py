@@ -100,7 +100,7 @@ def _block_tails(j0: int, j1: int):
 
 
 def theta_tail(k: int) -> float:
-    """S_k = sum_{i>=k} theta_i; bit-identical to ``TailTable(m).tail(k)``."""
+    """S_k = sum_{i>=k} theta_i; bit-identical to ``TailTable(m).S[k - 1]``."""
     if k < 1:
         raise DomainError("tail index must be >= 1")
     j = (k - 1) // TAIL_BLOCK
@@ -125,12 +125,6 @@ class TailTable:
             th, s = _block_tails(i // TAIL_BLOCK, (i + FILL_BLOCK) // TAIL_BLOCK)
             self.theta[i:i + FILL_BLOCK], self.S[i:i + FILL_BLOCK] = th[:n - i], s[:n - i]
 
-    def tail(self, k) -> np.ndarray:
-        k = np.asarray(k)
-        if (k < 1).any() or (k > self.kmax + 1).any():
-            raise DomainError(f"tail table covers k in [1, {self.kmax + 1}]")
-        return self.S[k - 1]
-
 
 _SHARED_TABLE: Optional[TailTable] = None
 
@@ -144,13 +138,22 @@ def shared_tail_table(kmax: int) -> TailTable:
     return _SHARED_TABLE
 
 
+@dataclass(frozen=True)
+class SpiralParams:
+    """Construction parameter a in (-pi/2, pi/2]: the one home of that rule."""
+
+    a: float
+
+    def __post_init__(self):
+        if not (-HALF_PI < self.a <= HALF_PI):
+            raise DomainError("parameter a must lie in (-pi/2, pi/2]")
+
+
 def k0(a: float, table: Optional[TailTable] = None) -> int:
     """Smallest k with a - S_k > -pi/2, so t_k(a) > 0 from there on.  S_k
     is read from ``table`` where it covers k and from ``theta_tail`` beyond:
     the same bits either way."""
-    if not (-HALF_PI < a <= HALF_PI):
-        raise DomainError("parameter a must lie in (-pi/2, pi/2]")
-    target = a + HALF_PI  # need S_k < target
+    target = SpiralParams(a).a + HALF_PI  # need S_k < target
     end = table.kmax + 1 if table is not None else 0
 
     def tail(k: int) -> float:
@@ -170,17 +173,6 @@ def k0(a: float, table: Optional[TailTable] = None) -> int:
         else:
             lo = mid
     return hi
-
-
-@dataclass(frozen=True)
-class SpiralParams:
-    """Construction parameter a in (-pi/2, pi/2]."""
-
-    a: float
-
-    def __post_init__(self):
-        if not (-HALF_PI < self.a <= HALF_PI):
-            raise DomainError("parameter a must lie in (-pi/2, pi/2]")
 
 
 def sigma(k):
@@ -205,58 +197,65 @@ def sigma(k):
     s4 = (dd - dth) / 4.0
     f = SQRT2 * (-np.sin(s1) * np.sin(s2) - np.sin(s3) * np.sin(s4))
     g = np.sin((thk + thkm) / 2.0)
-    out = np.arctan2(f, g)
-    return float(out) if np.isscalar(k) or np.ndim(k) == 0 else out
+    return np.arctan2(f, g)
 
 
 class SpiralTrajectory:
     """Evaluator for the vertex polygon at a fixed parameter a.
 
     All per-k quantities accept ints or integer arrays; valid indices are
-    k0(a) <= k <= kmax.
+    k0(a) <= k <= kmax, and ``tilt`` takes every k the tail table holds.
+    Each public method checks its k range once, on entry, and the private
+    ``_tilt`` reads S_k unchecked after it.
     """
 
     def __init__(self, a: float, kmax: int = 100_000):
-        if not (-HALF_PI < a <= HALF_PI):
-            raise DomainError("parameter a must lie in (-pi/2, pi/2]")
-        self.a = float(a)
+        self.a = float(SpiralParams(a).a)  # before the table is built
         self.table = shared_tail_table(kmax)
         self.kmax = kmax
         self.k0 = k0(a, self.table)
 
-    # -- scalar building blocks ------------------------------------------------
-    def tilt(self, k):
-        """A_k = a - S_k; t_k = 1/cos(A_k), alpha_k = pi/2 - A_k."""
-        return self.a - self.table.tail(k)
-
-    def _check_k(self, k, lo=None):
+    def _check_k(self, k, lo=None) -> np.ndarray:
+        """k as an array, refused unless lo (k0 by default) <= k <= kmax."""
         k = np.asarray(k)
         low = self.k0 if lo is None else lo
         if (k < low).any():
             raise DomainError(f"k must be >= {low} for a = {self.a}")
         if (k > self.kmax).any():
             raise DomainError(f"k exceeds the table kmax = {self.kmax}")
+        return k
+
+    # -- scalar building blocks ------------------------------------------------
+    def _tilt(self, k):
+        """A_k = a - S_k of a checked k; t_k = 1/cos(A_k), alpha_k = pi/2 - A_k."""
+        return self.a - self.table.S[k - 1]
+
+    def tilt(self, k):
+        """A_k for 1 <= k <= table.kmax + 1."""
+        k = np.asarray(k)
+        if (k < 1).any() or (k > self.table.kmax + 1).any():
+            raise DomainError(f"tail table covers k in [1, {self.table.kmax + 1}]")
+        return self._tilt(k)
 
     def t(self, k):
-        self._check_k(k)
-        return 1.0 / np.cos(self.tilt(k))
+        return 1.0 / np.cos(self._tilt(self._check_k(k)))
 
     def vertex(self, k):
         """p_k = t_k (cos xi_k, sin xi_k, 1); shape (..., 3)."""
-        t = self.t(k)  # which checks k
-        x = xi(k)
+        return self._vertex(self._check_k(k))
+
+    def _vertex(self, k):
+        t, x = 1.0 / np.cos(self._tilt(k)), xi(k)
         return np.stack([t * np.cos(x), t * np.sin(x), t * np.ones_like(x)], axis=-1)
 
-    def chord_vector(self, k):
+    def _chord_vector(self, k):
         """p_{k+1} - p_k assembled from difference identities.
 
         Naive subtraction of vertices loses ~k^(3/2) eps of direction
         accuracy; this form keeps every component at full relative
         precision for all k.
         """
-        self._check_k(k)
-        k = np.asarray(k)
-        A0, A1 = self.tilt(k), self.tilt(k + 1)
+        A0, A1 = self._tilt(k), self._tilt(k + 1)
         th = self.table.theta[k - 1]
         t0 = 1.0 / np.cos(A0)
         dt = 2.0 * np.sin((A0 + A1) / 2.0) * np.sin(th / 2.0) / (np.cos(A0) * np.cos(A1))
@@ -268,55 +267,56 @@ class SpiralTrajectory:
         return np.stack([sx, sy, dt], axis=-1)
 
     def direction(self, k):
-        c = self.chord_vector(k)
+        return self._direction(self._check_k(k))
+
+    def _direction(self, k):
+        c = self._chord_vector(k)
         return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
     def line(self, k: int) -> OrientedLine:
         """Oriented chord line l_k from p_k towards p_{k+1}."""
-        return OrientedLine(self.vertex(k), self.direction(k))
+        k = self._check_k(k)
+        return OrientedLine(self._vertex(k), self._direction(k))
 
     # -- verified quantities ---------------------------------------------------
     def chord_length(self, k):
         """Closed form sqrt(2) sin(theta_k) / (cos A_k cos A_{k+1})."""
-        self._check_k(k)
-        k = np.asarray(k)
+        k = self._check_k(k)
         th = self.table.theta[k - 1]
-        return SQRT2 * np.sin(th) / (np.cos(self.tilt(k)) * np.cos(self.tilt(k + 1)))
+        return SQRT2 * np.sin(th) / (np.cos(self._tilt(k)) * np.cos(self._tilt(k + 1)))
 
     def partial_length(self, k_from: int, k_to: int):
         """sum of chords k_from..k_to via the exact telescoping tangent form."""
-        self._check_k(k_from)
-        self._check_k(k_to)
-        return SQRT2 * (np.tan(self.tilt(k_to + 1)) - np.tan(self.tilt(k_from)))
+        self._check_k([k_from, k_to])
+        return SQRT2 * (np.tan(self._tilt(k_to + 1)) - np.tan(self._tilt(k_from)))
 
     def total_length(self) -> float:
         """Total polygon length from k0 on; infinite exactly at a = pi/2."""
         if self.a == HALF_PI:
             return math.inf
-        s = float(self.table.tail(self.k0))
+        s = self.table.S.item(self.k0 - 1)
         return SQRT2 * math.sin(s) / (math.cos(self.a - s) * math.cos(self.a))
 
     def tail_length(self, k_from: int) -> float:
         """Remaining length sum_{k >= k_from} |p_{k+1} - p_k| (telescoped)."""
         if self.a == HALF_PI:
             return math.inf
-        self._check_k(k_from)
-        return SQRT2 * (math.tan(self.a) - math.tan(float(self.tilt(k_from))))
+        return SQRT2 * (math.tan(self.a) - math.tan(float(self._tilt(self._check_k(k_from)))))
 
     def alpha_closed(self, k):
         """alpha_k = pi/2 - A_k, so cos(alpha_k) = sin(A_k); atan2 keeps full
         precision as A_k -> -pi/2, where arccos(sin A_k) is ill-conditioned."""
-        self._check_k(k)
-        A = self.tilt(k)
+        A = self._tilt(self._check_k(k))
         return np.arctan2(np.cos(A), np.sin(A))
 
     def verify_distance(self, k):
         """dist(l_k, O) - sqrt(2) via the angular momenta m_ij of l_k."""
-        m = angular_momenta(self.vertex(k), self.direction(k))
+        k = self._check_k(k)
+        m = angular_momenta(self._vertex(k), self._direction(k))
         return np.sqrt(_dots(m, m)) - SQRT2
 
     def verify_equal_angles(self, k):
         """(alpha_k, beta_k): angles of l_k and l_{k-1} with the radius p_k."""
-        self._check_k(k, lo=max(self.k0 + 1, 2))
-        u = unit(self.vertex(k))
-        return angle_between(self.direction(k), u), angle_between(self.direction(k - 1), u)
+        k = self._check_k(k, lo=max(self.k0 + 1, 2))
+        u = unit(self._vertex(k))
+        return angle_between(self._direction(k), u), angle_between(self._direction(k - 1), u)

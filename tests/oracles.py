@@ -134,9 +134,9 @@ def F1_batch(section: LiftedSection, Y: np.ndarray) -> np.ndarray:
     return section._lift(Y)[2]
 
 
-def log_integrals(log: TrajectoryLog) -> IntegralPair:
-    """(I1, I2) of every line, as arrays."""
-    return IntegralPair(*first_integrals(log.cone, log.bases, log.dirs))
+def log_integrals(cone: EllipticCone, log: TrajectoryLog) -> IntegralPair:
+    """(I1, I2) of every line of a log run in cone, as arrays."""
+    return IntegralPair(*first_integrals(cone, log.bases, log.dirs))
 
 
 def log_thetas(log: TrajectoryLog) -> np.ndarray:
@@ -146,10 +146,10 @@ def log_thetas(log: TrajectoryLog) -> np.ndarray:
     return angle_between(radial[:-1], radial[1:])
 
 
-def integral_drift(log: TrajectoryLog) -> tuple:
-    """Relative peak-to-peak drift of (I1, I2); I2 is normalized by
-    max(|I2|, I1) since it may legitimately sit at zero."""
-    pair = log_integrals(log)
+def integral_drift(cone: EllipticCone, log: TrajectoryLog) -> tuple:
+    """Relative peak-to-peak drift of (I1, I2) of a log run in cone; I2 is
+    normalized by max(|I2|, I1) since it may legitimately sit at zero."""
+    pair = log_integrals(cone, log)
     i1_max = np.abs(pair.I1).max()
     d1 = float(np.ptp(pair.I1) / i1_max)
     d2 = float(np.ptp(pair.I2) / max(np.abs(pair.I2).max(), i1_max))

@@ -11,7 +11,7 @@ import numpy as np
 
 from conebilliards.elliptic import EllipticCone, first_integrals
 from conebilliards.errors import DomainError
-from conebilliards.geometry import OrientedLine, _vec, unit
+from conebilliards.geometry import OrientedLine
 
 PB_STEP = 1e-5            # central-difference step of poisson_bracket_residual
 WEDGE_MAX_STEPS = 10_000  # simulate_wedge gives up after this many reflections
@@ -126,10 +126,10 @@ def simulate_wedge(theta: float, base, direction) -> int:
     """
     if not (0.0 < theta < math.pi):
         raise DomainError("wedge angle must lie in (0, pi)")
-    p = _vec(base)
-    v = unit(direction)
-    if p.shape != (2,):
-        raise DomainError("wedge simulation is planar")
+    p, v = np.asarray(base, dtype=float), np.asarray(direction, dtype=float)
+    if p.shape != (2,) or v.shape != (2,) or not np.isfinite([*p, *v]).all():
+        raise DomainError("wedge simulation is planar, on finite vectors")
+    v = v / np.linalg.norm(v)
     walls = [
         (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
         (np.array([math.cos(theta), math.sin(theta)]),

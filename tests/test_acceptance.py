@@ -76,7 +76,7 @@ def test_criterion_02_elliptic_conservation():
         if len(log.vertices) == 0:
             continue
         n_traj += 1
-        d1, d2 = integral_drift(log)
+        d1, d2 = integral_drift(cone, log)
         worst_drift = max(worst_drift, d1, d2)
         th = log_thetas(log)
         if th.size:

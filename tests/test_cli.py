@@ -138,6 +138,9 @@ def test_simulate_rows_depend_only_on_seed_and_index(tmp_path):
     # the seed is a uint64 word of each Philox key
     ["elliptic", "simulate", "--seed", "-1", "--count", "2"],
     ["elliptic", "simulate", "--seed", "18446744073709551616", "--count", "2"],
+    # the section curve does not depend on a: curve build and export take no --a
+    ["curve", "build", "--a", "0"],
+    ["curve", "export", "--a", "0"],
 ])
 def test_rejects_bad_sizes(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -384,6 +387,34 @@ def test_replay_command(tmp_path):
     assert data["passed"] is True
     assert data["checks"]["max_vertex_rel_error"] < 1e-7
     assert data["measured"]["flight_length"] < data["measured"]["total_length"]
+    assert data["checks"]["length_infinite"] is False
+
+
+def test_replay_report_is_strict_json_at_half_pi(tmp_path):
+    # the lengths are infinite at a = pi/2: null and a flag, as spiral verify writes them
+    rep = tmp_path / "rep.json"
+    assert main(["replay", "--a", repr(math.pi / 2), "--kmax", "20000", "--steps", "10",
+                 "--report", str(rep)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data = json.loads(rep.read_text(), parse_constant=refuse)
+    assert data["checks"]["length_infinite"] is True
+    assert data["measured"]["remaining_length"] is None
+    assert data["measured"]["total_length"] is None
+    assert math.isfinite(data["measured"]["closed_form_length"])
+
+
+def test_ndim_check_refuses_a_before_the_build(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the curve was built for an invalid --a")
+
+    monkeypatch.setattr(cli.curve_mod, "build_curve", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["ndim", "check", "--a", "3.0"])
+    assert exc.value.code == 2
+    assert "error: parameter a must lie in (-pi/2, pi/2]" in capsys.readouterr().err
 
 
 def test_replay_grazing_exits_1(second_reflection_grazes, capsys):
@@ -470,17 +501,17 @@ def test_block_accounting_equals_the_per_log_methods():
     # prefixes across numpy's pairwise-sum blocks of 8 and 128, with every ending
     ends = list(Termination) * 2
     for k, end in zip((1, 2, 9, 10, 101, 128, 129, 130, 200, 257), ends):
-        logs.append(TrajectoryLog(cone, long.bases[:k], long.dirs[:k], end, True))
+        logs.append(TrajectoryLog(long.bases[:k], long.dirs[:k], end, True))
     assert [len(log_thetas(log)) for log in logs] == [
         0, 1, 7, 8, 9, 308, 0, 1, 8, 9, 100, 127, 128, 129, 199, 256]
     rows = cli._simulate_rows(cone, 7, 40, logs)
     assert len(rows) == len(logs)
     for k, (log, row) in enumerate(zip(logs, rows)):
-        pair, th = log_integrals(log), log_thetas(log)
+        pair, th = log_integrals(cone, log), log_thetas(log)
         c1, c2 = float(pair.I1[0]), float(pair.I2[0])
         expect = (40 + k, 7, c1, c2, log.reflection_count,
                   elliptic.reflection_bound(cone, c1, c2) if c2 > 0.0 else -1,
-                  float(th.max()) if th.size else 0.0, float(th.sum()), *integral_drift(log))
+                  float(th.max()) if th.size else 0.0, float(th.sum()), *integral_drift(cone, log))
         assert [type(x) for x in row] == [type(x) for x in expect]
         assert _bits(row) == _bits(expect)
 

@@ -86,7 +86,7 @@ def test_I2_line_through_origin(cone):
 
 def test_integrals_constant_on_trajectory(cone, rng):
     log = _long_log(cone, rng)
-    pair = log_integrals(log)
+    pair = log_integrals(cone, log)
     i1, i2 = pair.I1, pair.I2
     assert np.ptp(i1) / i1.max() < 1e-9
     assert np.ptp(i2) / max(np.abs(i2).max(), i1.max()) < 1e-9
@@ -96,7 +96,7 @@ def test_integrals_constant_on_trajectory(cone, rng):
 
 def test_log_integrals_equal_integral_pair(cone, rng):
     log = _long_log(cone, rng, min_vertices=6)
-    pair = log_integrals(log)
+    pair = log_integrals(cone, log)
     assert pair.I1.shape == pair.I2.shape == (len(log.vertices) + 1,)
     for i, line in enumerate(_lines(log)):
         one = integral_pair(cone, line)
@@ -466,7 +466,7 @@ def test_sample_start_on_surface(cone, rng):
 
 def test_integral_drift_definition(cone, rng):
     log = _long_log(cone, rng)
-    d1, d2 = integral_drift(log)
+    d1, d2 = integral_drift(cone, log)
     assert 0.0 <= d1 < 1e-9
     assert 0.0 <= d2 < 1e-9
 

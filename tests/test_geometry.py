@@ -121,10 +121,10 @@ def test_distance_sq_routes_agree(rng):
 
 
 def test_distance_sq_dimension_n(rng):
-    # the m_ij route is implemented in R^3 and refuses other dimensions
+    # the m_ij route is implemented in R^3: a line of another dimension is refused
     for n in (2, 4, 6):
-        line = OrientedLine(rng.uniform(-2, 2, n), unit(rng.normal(size=n)))
         with pytest.raises(DomainError):
+            line = OrientedLine(rng.uniform(-2, 2, n), unit(rng.normal(size=n)))
             line_distance_sq(line)
 
 
@@ -233,12 +233,35 @@ def test_angle_near_pi():
 
 
 def test_angle_between_is_three_dimensional():
-    u = unit([1.0, 0.0, 0.0, 0.0])
-    w = unit([1.0, 1e-8, 0.0, 0.0])
     with pytest.raises(DomainError):
+        u = unit([1.0, 0.0, 0.0, 0.0])
+        w = unit([1.0, 1e-8, 0.0, 0.0])
         angle_between(u, w)
     with pytest.raises(DomainError):
         angle_between([1.0, 0.0, 0.0], [1.0, 0.0])
+
+
+_R3 = [0.6, 0.0, 0.8]
+_REFUSERS = {
+    "unit": unit,
+    "angle_between": lambda x: angle_between(x, x),
+    "angle_between_mixed": lambda x: angle_between(_R3, x),
+    "angular_momenta": lambda x: angular_momenta(x, x),
+    "OrientedLine": lambda x: OrientedLine(x, x),
+    "OrientedLine_base": lambda x: OrientedLine(x, _R3),
+    "reflect_direction": lambda x: reflect_direction(x, x),
+    "reflect_direction_normal": lambda x: reflect_direction(_R3, x),
+    "cone_step_precise": lambda x: cone_step_precise(
+        GeneralCone(CircularSection()), x, [0.0] * len(x), x),
+}
+
+
+@pytest.mark.parametrize("x", [[0.6, 0.8], [0.5, 0.5, 0.5, 0.5]], ids=["R2", "R4"])
+@pytest.mark.parametrize("name", list(_REFUSERS))
+def test_geometry_entries_refuse_other_dimensions(name, x):
+    # R^3 is checked where a vector enters; a unit 2- or 4-vector is refused
+    with pytest.raises(DomainError):
+        _REFUSERS[name](x)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +344,17 @@ def test_alpha_theta_rejects_short_or_mismatched_paths():
 
 
 def test_unit_and_angle_between_take_stacks(rng):
-    # an (n, d) stack gives, bit for bit, what each row gives alone; the
-    # last two rows of w give the angles 0 and pi; angles are taken in R^3
-    for d in (3, 4):
-        x = rng.normal(size=(500, d)) * rng.uniform(1e-3, 1e3, (500, 1))
-        u = unit(x)
-        assert np.array_equal(u, np.array([unit(r) for r in x]))
-        if d != 3:
-            continue
-        w = np.concatenate([unit(rng.normal(size=(498, d))), u[-2:-1], -u[-1:]])
-        expected = [angle_between(a, b) for a, b in zip(u, w)]
-        assert angle_between(u, w).tolist() == expected
-        assert angle_between(u[:0], w[:0]).shape == (0,)
+    # an (n, 3) stack gives, bit for bit, what each row gives alone; the
+    # last two rows of w give the angles 0 and pi; an (n, 4) stack is refused
+    x = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, (500, 1))
+    u = unit(x)
+    assert np.array_equal(u, np.array([unit(r) for r in x]))
+    w = np.concatenate([unit(rng.normal(size=(498, 3))), u[-2:-1], -u[-1:]])
+    expected = [angle_between(a, b) for a, b in zip(u, w)]
+    assert angle_between(u, w).tolist() == expected
+    assert angle_between(u[:0], w[:0]).shape == (0,)
+    with pytest.raises(DomainError):
+        unit(rng.normal(size=(500, 4)))
     with pytest.raises(DomainError):
         unit(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(DomainError):

@@ -39,9 +39,9 @@ def test_F1_center(section4):
 
 
 def test_F1_reduces_to_profile(section4):
-    for x2 in (-0.7, -0.2, 0.05, 0.5, 0.9):
-        f, _, _ = section4.f1(x2)
-        assert F1_batch(section4, np.array([[x2, 0.0]]))[0] == pytest.approx(f, abs=1e-14)
+    x2 = np.array([-0.7, -0.2, 0.05, 0.5, 0.9])
+    f, _, _ = section4.f1(x2)
+    assert F1_batch(section4, np.stack([x2, np.zeros(5)], axis=-1)) == pytest.approx(f, abs=1e-14)
 
 
 def test_F1_five_dimusional(section5):
@@ -84,13 +84,13 @@ def test_F1_scalar_equals_batch_bitwise(built_curve, rng, n):
 
 def test_f1_matches_circle_off_the_wiggle_band(section4):
     # the profile is exactly sqrt(1 - x2^2) for x2 <= 0 and x2 >= 1/3
-    for x2 in (-0.9, -0.5, -0.1, 0.34, 0.6, 0.95):
-        f, fp, fpp = section4.f1(x2)
-        assert f == pytest.approx(math.sqrt(1.0 - x2 * x2), abs=1e-12)
-        assert fp == pytest.approx(-x2 / math.sqrt(1.0 - x2 * x2), abs=1e-10)
-        assert fpp == pytest.approx(-1.0 / (1.0 - x2 * x2) ** 1.5, abs=1e-8)
-        # the convexity margin is exactly -1 on the circle
-        assert f * fpp + fp * fp == pytest.approx(-1.0, abs=1e-9)
+    x2 = np.array([-0.9, -0.5, -0.1, 0.34, 0.6, 0.95])
+    f, fp, fpp = section4.f1(x2)
+    assert f == pytest.approx(np.sqrt(1.0 - x2 * x2), abs=1e-12)
+    assert fp == pytest.approx(-x2 / np.sqrt(1.0 - x2 * x2), abs=1e-10)
+    assert fpp == pytest.approx(-1.0 / (1.0 - x2 * x2) ** 1.5, abs=1e-8)
+    # the convexity margin is exactly -1 on the circle
+    assert f * fpp + fp * fp == pytest.approx(np.full(6, -1.0), abs=1e-9)
 
 
 def test_lift_requires_matching_circle_window(built_curve):
@@ -389,7 +389,7 @@ def test_f1_repeated_x2_equals_one_call_per_value(section4, rng):
     values = np.concatenate([rng.uniform(-0.99, 0.99, 40), [0.0, -0.0, 0.1, 0.3, 1.0 / 3.0]])
     x2 = rng.choice(values, 600)
     got = np.stack(section4.f1(x2), axis=-1)
-    want = np.array([section4.f1(v) for v in x2.tolist()])
+    want = np.array([np.concatenate(section4.f1(np.array([v]))) for v in x2.tolist()])
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 

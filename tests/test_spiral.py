@@ -118,13 +118,13 @@ def test_tail_against_naive_oracle():
 
 def test_tail_bound_and_limit(tail_table):
     ks = np.arange(1, 100_000, 37)
-    s = tail_table.tail(ks)
+    s = tail_table.S[ks - 1]
     assert np.all(s < 1.0 / np.sqrt(ks))
     assert np.all(np.diff(tail_table.S) < 0.0)[()] or np.all(tail_table.S[:-1] > tail_table.S[1:])
     # S_k -> 0 with S_k sqrt(k) -> 1/sqrt(2)
     for k in (10**3, 10**4, 10**5):
-        assert float(tail_table.tail(k)) * math.sqrt(k) == pytest.approx(1.0 / SQRT2, abs=2e-3)
-    assert float(tail_table.tail(10**5)) < 3.3e-3
+        assert float(tail_table.S[k - 1]) * math.sqrt(k) == pytest.approx(1.0 / SQRT2, abs=2e-3)
+    assert float(tail_table.S[10**5 - 1]) < 3.3e-3
 
 
 def test_tail_table_consistency(tail_table):
@@ -167,7 +167,7 @@ def test_tail_table_peak_memory_is_bounded():
 @pytest.mark.parametrize("k", [1, 31, 32, TAIL_BLOCK - 1, TAIL_BLOCK, TAIL_BLOCK + 1,
                                2 * TAIL_BLOCK + 1, 199_999])
 def test_theta_tail_equals_table_entry(k):
-    assert theta_tail(k) == float(TailTable(200_000).tail(k))
+    assert theta_tail(k) == float(TailTable(200_000).S[k - 1])
 
 
 @pytest.mark.parametrize("k", [67, TAIL_BLOCK, TAIL_BLOCK + 1, 2 * TAIL_BLOCK + 1, 129_999])
@@ -180,7 +180,7 @@ def test_tail_table_against_mpmath_oracle(tail_table, k):
             return 2 * mp.asin(mp.sin(d / 2) / mp.sqrt(2)) - d / mp.sqrt(2)
 
         exact = 1 / mp.sqrt(2 * k) + mp.nsum(term, [k, mp.inf])
-        rel = float(abs(mp.mpf(float(tail_table.tail(k))) / exact - 1))
+        rel = float(abs(mp.mpf(float(tail_table.S[k - 1])) / exact - 1))
     assert rel <= 1e-15
 
 
@@ -377,7 +377,7 @@ def test_chord_closed_vs_direct(spiral_a0):
 def test_chord_matches_stable_vector(spiral_a0):
     ks = np.array([1, 10, 100, 10_000, 100_000])
     closed = spiral_a0.chord_length(ks)
-    stable = np.linalg.norm(spiral_a0.chord_vector(ks), axis=-1)
+    stable = np.linalg.norm(spiral_a0._chord_vector(ks), axis=-1)
     assert np.abs(closed / stable - 1.0).max() < 1e-13
 
 
@@ -404,9 +404,9 @@ def test_total_length_closed_form():
         partial = float(traj.partial_length(traj.k0, 199_000))
         assert total > partial > 0.0
         # remaining tail ~ sqrt(2) sec^2(a) S_{K+1}
-        tail_bound = 4.0 * float(traj.table.tail(199_001)) / math.cos(a) ** 2
+        tail_bound = 4.0 * float(traj.table.S[199_001 - 1]) / math.cos(a) ** 2
         assert total - partial < tail_bound
-        s = float(traj.table.tail(traj.k0))
+        s = float(traj.table.S[traj.k0 - 1])
         explicit = SQRT2 * math.sin(s) / (math.cos(a - s) * math.cos(a))
         assert total == pytest.approx(explicit, rel=1e-15)
 
