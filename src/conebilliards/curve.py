@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
-from .geometry import (GeneralCone, _dots, angular_momenta, cone_step_precise,
+from .geometry import (GeneralCone, _dots, _stack, angular_momenta, cone_step_precise,
                        project_to_surface)
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
@@ -407,7 +407,7 @@ def replay(
         hit, tail, out = stepped
         bases.append(hit)
         dirs.append(out)
-    bases, dirs = np.array(bases), np.array(dirs)
+    bases, dirs = _stack(bases), _stack(dirs)
     chords = np.diff(bases, axis=0)
     # cumsum adds left to right, where np.sum adds pairwise
     length = float(np.cumsum(np.append(0.0, np.sqrt(_dots(chords, chords))))[-1])

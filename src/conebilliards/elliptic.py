@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, GrazingError, TangencyWarning, Termination
-from .geometry import OrientedLine, _normalized, momenta, near_apex, reflect_direction
+from .geometry import OrientedLine, _normalized, _stack, momenta, near_apex, reflect_direction
 
 T_MIN_FACTOR = 1e-12      # excludes re-hitting the current vertex
 LINEAR_A_TOL = 1e-14      # |A| below this solves the ray linearly
@@ -177,7 +177,7 @@ def run(
         bases.append(hit)
         dirs.append(out)
         p, v = hit, out
-    return TrajectoryLog(np.array(bases), np.array(dirs), termination, started_on_surface)
+    return TrajectoryLog(_stack(bases), _stack(dirs), termination, started_on_surface)
 
 
 # ---------------------------------------------------------------------------

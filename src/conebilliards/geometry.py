@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 from typing import Optional, Union
 
@@ -24,7 +25,8 @@ UNIT_TOL = 1e-12          # |norm(dir) - 1| allowed for a Direction
 GRAZING_TOL = 1e-12       # |<v,n>| below this refuses to reflect
 T_MIN_FACTOR = 1e-9       # t_min = factor * |base| excludes the current vertex
 BRACKET_LIMIT = 1e-2      # widest bracket around a predicted root, over |p|
-PREDICT_ROUNDS = 3        # frozen-rho quadric solves that predict a general-cone hit
+PREDICT_ROUNDS = 4        # frozen-rho quadric solves that predict a general-cone hit
+                          # (three left up to 188 ulps for the bracket to walk at k = 5e4)
 PROJECT_ROUNDS = 4        # Newton steps of project_to_surface
 APEX_TOL = 1e-9           # hit point within this of the origin flags the apex
 DOT_TINY, DOT_HUGE = 2.0 ** -960, 2.0 ** 1000  # _dot's split products are exact between
@@ -59,6 +61,13 @@ def _atan2(y, x):
     if np.ndim(y) == 0:
         return math.atan2(float(y), float(x))
     return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+
+
+def _stack(rows: list) -> np.ndarray:
+    """np.array(rows) of n 3-lists of Python floats, bit for bit, as an (n, 3)
+    array filled from one flat iterator."""
+    n = len(rows)
+    return np.fromiter(chain.from_iterable(rows), float, 3 * n).reshape(n, 3)
 
 
 def unit(x) -> np.ndarray:
@@ -445,14 +454,16 @@ def _intersect_ray(cone: GeneralCone, p: list, p_tail: list, v: list,
     APEX or NO_BRACKET when the search finds no sign change to bisect.
     ``p_norm`` is |p| as np.linalg.norm gives it.
 
-    A bracket widened one-sidedly from the predicted root (4 ulps, x4 a
-    round) until the compensated gap changes sign is bisected to adjacent
-    floats.  The solid cone is convex, so every bracket holds the same one
-    crossing; only where the gap is rounding noise a few ulps around it can
-    two brackets end on neighbouring floats.  With no prediction, or a
-    bracket reaching t_min or BRACKET_LIMIT * scale, a ray whose closest
-    approach to the origin lies ahead and near the apex ends APEX, any
-    other NO_BRACKET."""
+    A bracket walked one-sidedly out from the predicted root until the
+    compensated gap changes sign is bisected to adjacent floats.  The walk
+    probes 1, 2 and 4 ulps away, on the side g(t)'s sign gives, then steps
+    4, 16, 64, ... ulps: most predictions lie within an ulp of the root, so
+    most roots take two or three gap calls.  The solid cone is convex, so
+    every bracket holds the same one crossing; only where the gap is
+    rounding noise a few ulps around it can two brackets end on
+    neighbouring floats.  With no prediction, or a bracket reaching t_min
+    or BRACKET_LIMIT * scale, a ray whose closest approach to the origin
+    lies ahead and near the apex ends APEX, any other NO_BRACKET."""
     scale = max(p_norm, 1e-12)
     t_min = T_MIN_FACTOR * scale
     if _escapes(cone, v):
@@ -461,7 +472,8 @@ def _intersect_ray(cone: GeneralCone, p: list, p_tail: list, v: list,
     t = _predict_root(cone, p, p_tail, v, t_min)
     if t is not None:
         g = gap(t)
-        side, width = (1.0 if g < 0.0 else -1.0), 4.0 * math.ulp(t)  # inside: the exit is ahead
+        side, ulp = (1.0 if g < 0.0 else -1.0), math.ulp(t)  # inside: the exit is ahead
+        width = reach = ulp
         while width <= BRACKET_LIMIT * scale:
             end = t + side * width
             if end <= t_min:
@@ -472,7 +484,9 @@ def _intersect_ray(cone: GeneralCone, p: list, p_tail: list, v: list,
                     return _bisect(gap, t, g, end, g_end)
                 return _bisect(gap, end, g_end, t, g)
             t, g = end, g_end
-            width *= 4.0
+            # steps of 1, 1, 2 and 4 ulps double the reach to 8 ulps, then x4 a step
+            width = reach if width < 4.0 * ulp else 4.0 * width
+            reach += width
     t = -sum(map(mul, p, v))  # the closest approach to the apex
     near = t > 0.0 and near_apex(math.hypot(*(x + t * y for x, y in zip(p, v))), scale)
     return Termination.APEX if near else Termination.NO_BRACKET

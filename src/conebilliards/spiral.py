@@ -204,7 +204,7 @@ class SpiralTrajectory:
     """Evaluator for the vertex polygon at a fixed parameter a.
 
     All per-k quantities accept ints or integer arrays; valid indices are
-    k0(a) <= k <= kmax, and ``tilt`` takes every k the tail table holds.
+    k0(a) <= k <= kmax, and ``tilt`` takes 1 <= k <= kmax + 1.
     Each public method checks its k range once, on entry, and the private
     ``_tilt`` reads S_k unchecked after it.
     """
@@ -231,10 +231,10 @@ class SpiralTrajectory:
         return self.a - self.table.S[k - 1]
 
     def tilt(self, k):
-        """A_k for 1 <= k <= table.kmax + 1."""
+        """A_k for 1 <= k <= kmax + 1, whatever table the process shares."""
         k = np.asarray(k)
-        if (k < 1).any() or (k > self.table.kmax + 1).any():
-            raise DomainError(f"tail table covers k in [1, {self.table.kmax + 1}]")
+        if (k < 1).any() or (k > self.kmax + 1).any():
+            raise DomainError(f"tilt takes k in [1, {self.kmax + 1}]")
         return self._tilt(k)
 
     def t(self, k):

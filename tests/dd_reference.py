@@ -11,7 +11,7 @@ two-sum and two-product).
 import math
 
 _SPLITTER = 134217729.0  # 2^27 + 1
-PREDICT_ROUNDS = 3
+PREDICT_ROUNDS = 4  # geometry's, so the early-stopped predictor is held to its own cap
 
 
 def two_sum(a: float, b: float):
@@ -84,8 +84,8 @@ def predictor_head(p, p_tail, v):
     return bh + bl, ch + cl, z2h
 
 
-def predict_root(deviation, p, p_tail, v, t_min: float):
-    """The predictor as it ran every one of its PREDICT_ROUNDS rounds: the
+def predict_root(deviation, p, p_tail, v, t_min: float, rounds: int = PREDICT_ROUNDS):
+    """The predictor as it ran every one of its ``rounds`` rounds: the
     first exit above t_min from the circular cone with rho frozen at the
     base's xi, then at each predicted hit's xi; or None."""
     (p0, p1, p2), (v0, v1, v2) = p, v
@@ -95,7 +95,7 @@ def predict_root(deviation, p, p_tail, v, t_min: float):
     m_sq = m02 * m02 + m12 * m12
     lagrange = B0 * B0 + abs(A0 * C0) > m_sq + m01 * m01
     x, y, t = p0, p1, None
-    for _ in range(PREDICT_ROUNDS):
+    for _ in range(rounds):
         dev = float(deviation(math.atan2(y, x))[0])
         d = 2.0 * dev + dev * dev
         A, B, C = A0 - v2 * v2 * d, 2.0 * (B0 - p2 * v2 * d), C0 - z2h * d

@@ -549,8 +549,9 @@ def test_replay_states_pinned(built_curve):
 @pytest.mark.parametrize("k, expected", [
     (10_000, "687913261ed5a8748345c19c2009424244d1fe7b70cb03ccc7a20f4aff04711e"),
     (50_000, "90d402890042b58fc8f62fae1e60974a96dd0e0895d808301a5a60024aaeb517"),
-    # here the gap is sign noise a few ulps around each root
-    (99_000, "a294119c29b5cc57f3c941ed0abf7c8f494afc052143a4dcf06a89290a20cab8"),
+    # here the gap is sign noise a few ulps around each root, and the ulp walk
+    # moved it (test_walked_root_equals_frozen_bracket_root)
+    (99_000, "33ba1f001f89849c4d52147a016675558c60661163f185b6b54a2808abe0136d"),
     (120_000, "b241effe6403fa83481e6af5af22ea51adb5d026494e5e37ef984a1c9a15aca3"),
 ])
 def test_deep_replay_states_pinned(built_curve, k, expected):

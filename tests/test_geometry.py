@@ -23,6 +23,7 @@ from conebilliards.geometry import (
 )
 from conebilliards.spiral import SpiralTrajectory
 
+import bracket_reference
 import scan_root_reference
 from oracles import alpha_theta_residuals, line_distance_sq, projected_distance_sq
 from paper_checks import simulate_wedge, wedge_reflection_count
@@ -586,7 +587,7 @@ def test_predicted_root_equals_fallback_root(circular_cone, z, s, phi, beta, psi
             return
 
 
-@pytest.mark.parametrize("start", ["k1+1", 1_000, 10_000])
+@pytest.mark.parametrize("start", ["k1+1", 1_000, 10_000, 50_000])
 def test_predicted_root_equals_fallback_root_on_c2_cone(built_curve, start):
     # seeded starts on the built witness cone: the trajectory's chord line k
     # from its vertex, and from two seeded points just inside the cone
@@ -601,6 +602,77 @@ def test_predicted_root_equals_fallback_root_on_c2_cone(built_curve, start):
             assert _predicted_root(cone, *state) == _fallback_root(cone, *state)
             state = cone_step_precise(cone, *state)
             assert isinstance(state, tuple)
+
+
+def _plain_states(curve, a, k, steps):
+    """The states of ``steps`` replay steps on the built cone from the plain
+    closed-form line k of the a trajectory, as the pinned replays take them."""
+    cone = GeneralCone(curve)
+    line = SpiralTrajectory(a, kmax=curve.kmax).line(k)
+    state = (line.base.tolist(), [0.0, 0.0, 0.0], line.dir.tolist())
+    for _ in range(steps):
+        yield cone, state
+        state = cone_step_precise(cone, *state)
+        assert isinstance(state, tuple)
+
+
+def _floats_between(lo: float, hi: float) -> list:
+    """The floats from lo to hi, both included."""
+    out = [lo]
+    while out[-1] < hi:
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+@pytest.mark.parametrize("a, start", [(0.0, 99_000), (0.0, 129_000), (0.7, 1167)])
+def test_walked_root_equals_frozen_bracket_root(built_curve, a, start):
+    # the ulp walk and the frozen 4-ulp route bisect the same crossing; they
+    # may end on different floats only where the gap changes sign more than
+    # once between adjacent floats (sign noise), never more than 4 ulps apart
+    moved = 0
+    for cone, (p, p_tail, v) in _plain_states(built_curve, a, start, 300):
+        p_norm = math.sqrt(geometry._dot(p, p))
+        gap = geometry._make_gap(cone, p, p_tail, v)
+        got = geometry._intersect_ray(cone, p, p_tail, v, p_norm)
+        want = bracket_reference.bracket_root(cone.deviation, gap, p, p_tail, v, p_norm)
+        assert isinstance(got, float) and isinstance(want, float)
+        if got != want:
+            moved += 1
+            lo, hi = min(got, want), max(got, want)
+            assert len(_floats_between(lo, hi)) <= 5
+            span = _floats_between(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+            inside = [gap(s) < 0.0 for s in span]
+            assert sum(x != y for x, y in zip(inside, inside[1:])) >= 2
+    assert moved <= 30  # of 300: 15 from k = 99 000, 1 from 129 000, none at a = 0.7
+
+
+def _gap_calls_per_step(monkeypatch, curve, k, steps) -> float:
+    """Gap evaluations per step over ``steps`` steps from the plain line k."""
+    calls = 0
+    make_gap = geometry._make_gap
+
+    def counted(*args):
+        gap = make_gap(*args)
+
+        def gap_counted(t):
+            nonlocal calls
+            calls += 1
+            return gap(t)
+
+        return gap_counted
+
+    monkeypatch.setattr(geometry, "_make_gap", counted)
+    for _ in _plain_states(curve, 0.0, k, steps):
+        pass
+    return calls / steps
+
+
+@pytest.mark.parametrize("start, steps, bound", [("k1+1", 100, 2.7), (50_000, 300, 3.1)])
+def test_root_search_gap_calls_per_step(monkeypatch, built_curve, start, steps, bound):
+    # the walk from one ulp finds most roots in two or three gap calls; the
+    # 4-ulp first bracket took 4.03 and 5.29 calls here
+    k = built_curve.k1 + 1 if start == "k1+1" else start
+    assert _gap_calls_per_step(monkeypatch, built_curve, k, steps) <= bound
 
 
 class _EchoSection:

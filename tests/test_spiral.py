@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conebilliards import spiral
 from conebilliards.errors import DomainError
 from conebilliards.geometry import (
     OrientedLine,
@@ -243,6 +244,24 @@ def test_vertex_below_k0_rejected():
     assert traj.k0 > 1
     with pytest.raises(DomainError):
         traj.vertex(traj.k0 - 1)
+
+
+@pytest.mark.parametrize("kmaxes", [(100, 10_000), (10_000, 100)])
+def test_tilt_range_is_the_trajectorys_own(monkeypatch, kmaxes):
+    # the shared tail table is the largest any call built, but each
+    # trajectory's tilt answers 1..kmax + 1 whichever was built first
+    monkeypatch.setattr(spiral, "_SHARED_TABLE", None)
+    trajs = {kmax: SpiralTrajectory(0.0, kmax=kmax) for kmax in kmaxes}
+    small, large = trajs[100], trajs[10_000]
+    for k in (0, 102, 5000):
+        with pytest.raises(DomainError):
+            small.tilt(k)
+    with pytest.raises(DomainError):
+        small.tilt(np.array([1, 101, 102]))
+    assert small.tilt(101) == -small.table.S[100]
+    assert large.tilt(5000) == -large.table.S[4999]
+    with pytest.raises(DomainError):
+        large.tilt(10_002)
 
 
 def test_t_monotone_with_fixed_tilt_sign():
