@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, curve as curve_mod, elliptic, ndim, spiral, svgplot
-from .errors import ConstructionError, ConvexityFailure, DomainError, ReplayFailure, Termination
+from .errors import ConstructionError, DomainError, Termination
 from .geometry import angle_between, unit
 from .spiral import SpiralParams, SpiralTrajectory
 
@@ -370,7 +370,7 @@ def cmd_curve_build(args) -> RunReport:
     return RunReport(
         command="curve build",
         config={"kmax": args.kmax, "k1_min": args.k1_min, "grid": args.grid, "out": str(out_dir)},
-        passed=kap_min > 0.5,
+        passed=kap_min > curve_mod.KAPPA_MIN,
         checks={"kappa_min_sampled": kap_min,
                 "sign_changes_first_2000": census},
         measured={"k1": curve.k1, "bump_constant": curve_mod.bump_constant()},
@@ -390,25 +390,25 @@ def cmd_curve_export(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> RunReport | int:
+def cmd_replay(args) -> RunReport:
     t0 = time.monotonic()
     params = SpiralParams(a=args.a)  # --a is refused before the curve is built
     curve = _build_curve_from_args(args)
     t1 = time.monotonic()
-    try:
-        rep = curve_mod.replay(curve, params, steps=args.steps, strict=True)
-    except ReplayFailure as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return 1
+    rep = curve_mod.replay(curve, params, steps=args.steps, strict=False)
+    if not rep.passed:
+        print(f"replay failed: {rep.failure()}", file=sys.stderr)
     length_infinite = math.isinf(rep.total_length)  # at a = pi/2, with the remaining length
     return RunReport(
         command="replay",
         config={"a": args.a, "steps": args.steps, "kmax": args.kmax, "k1_min": args.k1_min},
-        passed=True,
+        passed=rep.passed,
         checks={
             "max_vertex_rel_error": rep.max_vertex_rel_error,
             "max_distance_sq_error": rep.max_distance_sq_error,
             "length_infinite": length_infinite,
+            "termination": None if rep.termination is None else rep.termination.value,
+            "first_bad_k": rep.first_bad_k,
         },
         measured={
             "start_k": rep.start_k,
@@ -422,17 +422,16 @@ def cmd_replay(args) -> RunReport | int:
     )
 
 
-def cmd_ndim_check(args) -> RunReport | int:
+def cmd_ndim_check(args) -> RunReport:
     t0 = time.monotonic()
     params = SpiralParams(a=args.a)  # --a is refused before the curve is built
     curve = _build_curve_from_args(args)
     t_build = time.monotonic()
     section = ndim.LiftedSection(curve, n=args.n)
-    try:
-        rep = ndim.negdef_check(section, grid_target=args.grid, strict=True)
-    except ConvexityFailure as exc:
-        print(f"convexity failed: {exc}", file=sys.stderr)
-        return 1
+    rep = ndim.negdef_check(section, grid_target=args.grid, strict=False)
+    if not rep.passed:
+        print(f"convexity failed: Hessian not negative definite: max eigenvalue {rep.max_eigenvalue}",
+              file=sys.stderr)
     t_negdef = time.monotonic()
     traj = SpiralTrajectory(params.a, kmax=curve.kmax + 1)
     emb = ndim.embedded_reflection_check(section, traj, count=args.steps)
@@ -440,7 +439,8 @@ def cmd_ndim_check(args) -> RunReport | int:
     return RunReport(
         command="ndim check",
         config={"n": args.n, "grid": args.grid, "a": args.a, "steps": args.steps},
-        passed=emb.max_tangential_residual < 1e-10 and emb.max_perpendicular_residual == 0.0,
+        passed=(rep.passed and emb.max_tangential_residual < 1e-10
+                and emb.max_perpendicular_residual == 0.0),
         checks=asdict(rep),
         measured={
             "embedded_max_tangential_residual": emb.max_tangential_residual,

@@ -364,11 +364,21 @@ class ReplayReport:
     tail_length: float         # remaining length beyond the replayed range
     total_length: float
     termination: Optional[Termination]  # None when every step reflected
+    first_bad_k: Optional[int]  # first vertex off the closed form by more than VERTEX_TOL
 
     @property
     def escaped(self) -> bool:
         """True when the replay ended before its last step."""
         return self.termination is not None
+
+    @property
+    def passed(self) -> bool:
+        """Every step reflected and every vertex within VERTEX_TOL."""
+        return self.first_bad_k is None and self.termination is None
+
+    def failure(self) -> str:
+        """The message of a replay that did not pass."""
+        return f"replay diverged (first bad k = {self.first_bad_k}, termination = {self.termination})"
 
 
 VERTEX_TOL = 1e-7
@@ -416,7 +426,6 @@ def replay(
     miss = x - expected
     rel = np.sqrt(_dots(miss, miss)) / np.sqrt(_dots(expected, expected))
     bad = np.flatnonzero(rel > VERTEX_TOL)
-    first_bad = k_start + 1 + int(bad[0]) if bad.size else None
     m = angular_momenta(x, dirs[1:])
     max_rel = float(rel.max(initial=0.0))
     max_dist = float(np.abs(_dots(m, m) - 2.0).max(initial=0.0))
@@ -433,7 +442,8 @@ def replay(
         tail_length=traj.tail_length(k_start + steps),
         total_length=traj.total_length(),
         termination=termination,
+        first_bad_k=k_start + 1 + int(bad[0]) if bad.size else None,
     )
-    if strict and (first_bad is not None or termination is not None):
-        raise ReplayFailure(f"replay diverged (first bad k = {first_bad}, termination = {termination})")
+    if strict and not report.passed:
+        raise ReplayFailure(report.failure())
     return report

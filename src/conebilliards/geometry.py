@@ -270,63 +270,55 @@ def _escapes(cone: GeneralCone, direction: list) -> bool:
     return math.hypot(v0, v1) / v2 <= rho
 
 
+def _square_form(x: float, y: float, z: float, lx: float, ly: float, lz: float) -> tuple:
+    """(x^2 + y^2 - z^2, z^2's head) of the double-double point (x, y, z) +
+    (lx, ly, lz): each square two_sum(h h, e + 2 h l) with (h h, e) =
+    two_prod(h, h), the pairs summed as two_sum(s, e + al + bl) with
+    (s, e) = two_sum(ah, bh), and the difference's head and tail added."""
+    cx, cy, cz = _SPLITTER * x, _SPLITTER * y, _SPLITTER * z
+    ax, ay, az = cx - (cx - x), cy - (cy - y), cz - (cz - z)
+    ex, ey, ez = x - ax, y - ay, z - az
+    qx, qy, qz = x * x, y * y, z * z
+    rx = ((ax * ax - qx) + ax * ex + ex * ax) + ex * ex + 2.0 * x * lx
+    ry = ((ay * ay - qy) + ay * ey + ey * ay) + ey * ey + 2.0 * y * ly
+    rz = ((az * az - qz) + az * ez + ez * az) + ez * ez + 2.0 * z * lz
+    sx, sy, sz = qx + rx, qy + ry, qz + rz
+    cx, cy, cz = sx - qx, sy - qy, sz - qz
+    ex, ey = (qx - (sx - cx)) + (rx - cx), (qy - (sy - cy)) + (ry - cy)
+    ez = (qz - (sz - cz)) + (rz - cz)
+    s = sx + sy
+    c = s - sx
+    r = (sx - (s - c)) + (sy - c) + ex + ey
+    h = s + r
+    c = h - s
+    e = (s - (h - c)) + (r - c)
+    s = h - sz
+    c = s - h
+    r = (h - (s - c)) + (-sz - c) + e - ez
+    h = s + r
+    c = h - s
+    return h + ((s - (h - c)) + (r - c)), sz
+
+
 def _make_gap(cone: GeneralCone, p: list, p_tail: list, v: list):
     """Compensated sign function of x^2 + y^2 - z^2 rho(xi)^2 along the ray.
 
     Negative strictly inside the solid cone, positive outside it, and +inf
     at or below the apex plane z <= 0, where the other nappe would give a
     spurious negative value.  ``p_tail`` is the double-double tail of the
-    base point (zero for a plain line).  All three are Python floats.  v is
-    split once per ray, t once per call.
+    base point (zero for a plain line).  All three are Python floats.  Each
+    call is the ray point p + p_tail + t v of _ray_point and the square
+    form of _square_form.
     """
     deviation = cone.deviation
-    (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
-    c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
-    u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)  # v = u + w, once per ray
-    w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
 
     def gap(t: float) -> float:
-        c = _SPLITTER * t
-        th = c - (c - t)
-        tl = t - th
-        hx, hy, hz = t * v0, t * v1, t * v2
-        sx, sy, sz = p0 + hx, p1 + hy, p2 + hz
-        cx, cy, cz = sx - p0, sy - p1, sz - p2
-        rx = (p0 - (sx - cx)) + (hx - cx) + (((th * u0 - hx) + th * w0 + tl * u0) + tl * w0) + l0
-        ry = (p1 - (sy - cy)) + (hy - cy) + (((th * u1 - hy) + th * w1 + tl * u1) + tl * w1) + l1
-        rz = (p2 - (sz - cz)) + (hz - cz) + (((th * u2 - hz) + th * w2 + tl * u2) + tl * w2) + l2
-        x, y, z = sx + rx, sy + ry, sz + rz
+        (x, y, z), (lx, ly, lz) = _ray_point(p, p_tail, t, v)
         if z <= 0.0:
             return math.inf
-        cx, cy, cz = x - sx, y - sy, z - sz
-        rx, ry = (sx - (x - cx)) + (rx - cx), (sy - (y - cy)) + (ry - cy)
-        rz = (sz - (z - cz)) + (rz - cz)
-        # squares two_sum(h h, e + 2 h l) with (h h, e) = two_prod(h, h)
-        cx, cy, cz = _SPLITTER * x, _SPLITTER * y, _SPLITTER * z
-        ax, ay, az = cx - (cx - x), cy - (cy - y), cz - (cz - z)
-        ex, ey, ez = x - ax, y - ay, z - az
-        qx, qy, qz = x * x, y * y, z * z
-        rx = ((ax * ax - qx) + ax * ex + ex * ax) + ex * ex + 2.0 * x * rx
-        ry = ((ay * ay - qy) + ay * ey + ey * ay) + ey * ey + 2.0 * y * ry
-        rz = ((az * az - qz) + az * ez + ez * az) + ez * ez + 2.0 * z * rz
-        sx, sy, sz = qx + rx, qy + ry, qz + rz
-        cx, cy, cz = sx - qx, sy - qy, sz - qz
-        ex, ey = (qx - (sx - cx)) + (rx - cx), (qy - (sy - cy)) + (ry - cy)
-        ez = (qz - (sz - cz)) + (rz - cz)
-        # (x^2 + y^2) - z^2, pairs summed as two_sum(s, e + al + bl), (s, e) = two_sum(ah, bh)
-        s = sx + sy
-        c = s - sx
-        r = (sx - (s - c)) + (sy - c) + ex + ey
-        h = s + r
-        c = h - s
-        e = (s - (h - c)) + (r - c)
-        s = h - sz
-        c = s - h
-        r = (h - (s - c)) + (-sz - c) + e - ez
-        h = s + r
-        c = h - s
+        form, z2 = _square_form(x, y, z, lx, ly, lz)
         dev = float(deviation(math.atan2(y, x))[0])
-        return (h + ((s - (h - c)) + (r - c))) - sz * (2.0 * dev + dev * dev)
+        return form - z2 * (2.0 * dev + dev * dev)
 
     return gap
 
@@ -347,35 +339,16 @@ def project_to_surface(cone: GeneralCone, p) -> tuple:
 
 def _predictor_head(p: list, p_tail: list, v: list) -> tuple:
     """(B', C, z^2's head) of the ray's quadric x^2 + y^2 - z^2 = A t^2 + 2 B' t + C
-    along p + p_tail + t v.  C sums the squares of p + p_tail as the gap does,
-    B' the products p v with their tails l v likewise."""
+    along p + p_tail + t v.  C is _square_form of p + p_tail, as the gap's;
+    B' sums the products p v with their tails l v likewise."""
     (p0, p1, p2), (l0, l1, l2), (v0, v1, v2) = p, p_tail, v
+    C, z2 = _square_form(p0, p1, p2, l0, l1, l2)
     c0, c1, c2 = _SPLITTER * p0, _SPLITTER * p1, _SPLITTER * p2
     a0, a1, a2 = c0 - (c0 - p0), c1 - (c1 - p1), c2 - (c2 - p2)  # p = a + e
     e0, e1, e2 = p0 - a0, p1 - a1, p2 - a2
     c0, c1, c2 = _SPLITTER * v0, _SPLITTER * v1, _SPLITTER * v2
     u0, u1, u2 = c0 - (c0 - v0), c1 - (c1 - v1), c2 - (c2 - v2)  # v = u + w
     w0, w1, w2 = v0 - u0, v1 - u1, v2 - u2
-    q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2
-    r0 = ((a0 * a0 - q0) + a0 * e0 + e0 * a0) + e0 * e0 + 2.0 * p0 * l0
-    r1 = ((a1 * a1 - q1) + a1 * e1 + e1 * a1) + e1 * e1 + 2.0 * p1 * l1
-    r2 = ((a2 * a2 - q2) + a2 * e2 + e2 * a2) + e2 * e2 + 2.0 * p2 * l2
-    s0, s1, z2 = q0 + r0, q1 + r1, q2 + r2
-    c0, c1, c2 = s0 - q0, s1 - q1, z2 - q2
-    r0, r1 = (q0 - (s0 - c0)) + (r0 - c0), (q1 - (s1 - c1)) + (r1 - c1)
-    r2 = (q2 - (z2 - c2)) + (r2 - c2)
-    s = s0 + s1
-    c = s - s0
-    r = (s0 - (s - c)) + (s1 - c) + r0 + r1
-    h = s + r
-    c = h - s
-    e = (s - (h - c)) + (r - c)
-    s = h - z2
-    c = s - h
-    r = (h - (s - c)) + (-z2 - c) + e - r2
-    h = s + r
-    c = h - s
-    C = h + ((s - (h - c)) + (r - c))
     h0, h1, h2 = p0 * v0, p1 * v1, p2 * v2
     f0 = ((a0 * u0 - h0) + a0 * w0 + e0 * u0) + e0 * w0 + l0 * v0
     f1 = ((a1 * u1 - h1) + a1 * w1 + e1 * u1) + e1 * w1 + l1 * v1
@@ -408,9 +381,8 @@ def _predict_root(cone: GeneralCone, p: list, p_tail: list, v: list,
     A0, (B0, C0, z2h) = v0 * v0 + v1 * v1 - v2 * v2, _predictor_head(p, p_tail, v)
     # B^2 - 4AC in the form with the smaller terms: the plain one for a chord
     # from the surface (B, C ~ 0), or by Lagrange's identity in the line's
-    # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC;
-    # momenta's products written out, as this is the replay's hot loop
-    m01, m02, m12 = p0 * v1 - p1 * v0, p0 * v2 - p2 * v0, p1 * v2 - p2 * v1
+    # m_ij for a ray near the apex (|m| ~ its distance), where B^2 cancels 4AC
+    m01, m02, m12 = momenta(p0, p1, p2, v0, v1, v2)
     m_sq = m02 * m02 + m12 * m12
     lagrange = B0 * B0 + abs(A0 * C0) > m_sq + m01 * m01
     xi, t = math.atan2(p1, p0), None

@@ -145,6 +145,11 @@ class NegdefReport:
     window_f1p_range: tuple = ()   # observed f1' range on (0, 1/3)
     window_f1_range: tuple = ()    # observed f1 range on (0, 1/3)
 
+    @property
+    def passed(self) -> bool:
+        """Every Hessian eigenvalue negative; a NaN one fails."""
+        return self.max_eigenvalue < 0.0
+
 
 def _disk_grid(m: int, target: int) -> np.ndarray:
     """Regular lattice on the unit ball of dimension m with at least
@@ -196,7 +201,7 @@ def negdef_check(
         window_f1p_range=(float(fp[win].min()), float(fp[win].max())),
         window_f1_range=(float(f[win].min()), float(f[win].max())),
     )
-    if strict and not worst < 0.0:  # a NaN eigenvalue fails too
+    if strict and not report.passed:
         raise ConvexityFailure(
             f"Hessian not negative definite: max eigenvalue {worst} at y = {pts[worst_idx].tolist()}")
     return report

@@ -237,9 +237,6 @@ class SpiralTrajectory:
             raise DomainError(f"tilt takes k in [1, {self.kmax + 1}]")
         return self._tilt(k)
 
-    def t(self, k):
-        return 1.0 / np.cos(self._tilt(self._check_k(k)))
-
     def vertex(self, k):
         """p_k = t_k (cos xi_k, sin xi_k, 1); shape (..., 3)."""
         return self._vertex(self._check_k(k))

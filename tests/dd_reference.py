@@ -1,10 +1,13 @@
 """A frozen copy of the double-double helpers the general-cone step was
 built on, and of the step's kernels written with them: the compensated
-gap, the predictor's compensated coefficients, the compensated ray point
-and the round-capped predictor.
+gap, the predictor's compensated coefficients, the compensated ray point,
+the compensated square form x^2 + y^2 - z^2 and the round-capped predictor.
 
-``geometry`` writes the same float operations out in line; the tests hold
-its kernels to these forms bit for bit (Dekker 1971; Shewchuk 1997 for
+``geometry`` writes each compensated operation out once, in line, as a
+straight-line kernel: the ray point (_ray_point), the square form
+(_square_form) and the predictor's B' sum (_predictor_head); its gap and
+predictor compose them.  The tests hold those kernels and their
+compositions to these forms bit for bit (Dekker 1971; Shewchuk 1997 for
 two-sum and two-product).
 """
 
@@ -45,6 +48,14 @@ def dd_sq(h: float, l: float):
 def dd_add(ah: float, al: float, bh: float, bl: float):
     s, e = two_sum(ah, bh)
     return two_sum(s, e + al + bl)
+
+
+def square_form(x: float, y: float, z: float, lx: float, ly: float, lz: float):
+    """(x^2 + y^2 - z^2 as head plus tail, head of z^2) of the point
+    (x, y, z) + (lx, ly, lz)."""
+    z2h, z2l = dd_sq(z, lz)
+    nh, nl = dd_add(*dd_add(*dd_sq(x, lx), *dd_sq(y, ly)), -z2h, -z2l)
+    return nh + nl, z2h
 
 
 def ray_point(p, p_tail, t: float, v):

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conebilliards import cli, elliptic
+from conebilliards import cli, elliptic, ndim
 from conebilliards.cli import main
 from conebilliards.elliptic import EllipticCone, TrajectoryLog
 from conebilliards.errors import Termination
@@ -388,6 +388,7 @@ def test_replay_command(tmp_path):
     assert data["checks"]["max_vertex_rel_error"] < 1e-7
     assert data["measured"]["flight_length"] < data["measured"]["total_length"]
     assert data["checks"]["length_infinite"] is False
+    assert data["checks"]["termination"] is None and data["checks"]["first_bad_k"] is None
 
 
 def test_replay_report_is_strict_json_at_half_pi(tmp_path):
@@ -425,6 +426,19 @@ def test_replay_grazing_exits_1(second_reflection_grazes, capsys):
     assert err.startswith("replay failed: ") and "GRAZING" in err
 
 
+def test_failed_replay_writes_its_report(second_reflection_grazes, tmp_path, capsys):
+    # the report of a failed replay keeps every key and names what ended it
+    rep = tmp_path / "rep.json"
+    assert main(["replay", "--kmax", "100", "--steps", "5", "--report", str(rep)]) == 1
+    assert capsys.readouterr().err.startswith("replay failed: ")
+    data = json.loads(rep.read_text())
+    assert data["passed"] is False
+    assert data["checks"]["termination"] == "grazing"
+    assert data["checks"].keys() == {"max_vertex_rel_error", "max_distance_sq_error",
+                                     "length_infinite", "termination", "first_bad_k"}
+    assert data["measured"]["start_k"] > 0
+
+
 def test_ndim_command(tmp_path):
     rep = tmp_path / "rep.json"
     assert main(["ndim", "check", "--n", "4", "--grid", "1500", "--steps", "200",
@@ -432,6 +446,24 @@ def test_ndim_command(tmp_path):
     data = json.loads(rep.read_text())
     assert data["passed"] is True
     assert data["checks"]["max_eigenvalue"] < 0.0
+    assert data["measured"]["embedded_max_tangential_residual"] < 1e-10
+
+
+def test_failed_ndim_check_writes_its_failing_points(monkeypatch, tmp_path, capsys):
+    # a positive-definite Hessian everywhere: the report lists failing
+    # points and still carries the embedding figures
+    def convex(self, Y):
+        return np.broadcast_to(np.eye(self.n - 2), (len(Y), self.n - 2, self.n - 2)).copy()
+
+    monkeypatch.setattr(ndim.LiftedSection, "hessian_batch", convex)
+    rep = tmp_path / "rep.json"
+    assert main(["ndim", "check", "--n", "4", "--grid", "200", "--steps", "20",
+                 "--kmax", "20000", "--report", str(rep)]) == 1
+    assert capsys.readouterr().err.startswith("convexity failed: ")
+    data = json.loads(rep.read_text())
+    assert data["passed"] is False
+    assert data["checks"]["max_eigenvalue"] == 1.0
+    assert data["checks"]["failures"] and data["checks"]["failures"][0]["max_eig"] == 1.0
     assert data["measured"]["embedded_max_tangential_residual"] < 1e-10
 
 

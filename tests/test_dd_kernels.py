@@ -1,7 +1,7 @@
-"""The general-cone step's fused double-double kernels against the helper
-forms they replaced (dd_reference), bit for bit; the early-stopped
-predictor against the round-capped one; and the count of Python calls a
-step makes into geometry."""
+"""The general-cone step's straight-line double-double kernels, and the gap
+and predictor composed of them, against the helper forms they replaced
+(dd_reference), bit for bit; the early-stopped predictor against the
+round-capped one; and the count of Python calls a step makes into geometry."""
 
 import math
 import struct
@@ -116,6 +116,18 @@ def test_ray_point_kernel_equals_helper_form(ray):
     assert _bits(heads + tails) == _bits(want_heads + want_tails)
 
 
+@_with_examples
+@given(_rays())
+@settings(max_examples=1000, deadline=None)
+def test_square_form_kernel_equals_helper_form(ray):
+    # at the ray's point p + p_tail + t v, where the terms cancel on the
+    # surface, and at the base p + p_tail itself
+    p, p_tail, v, t = ray
+    heads, tails = ref.ray_point(p, p_tail, t, v)
+    for point in (heads + tails, p + p_tail):
+        assert _bits(geometry._square_form(*point)) == _bits(ref.square_form(*point))
+
+
 def _same_prediction(cone, p, p_tail, v) -> bool:
     """The early-stopped predictor and the round-capped copy give the same t,
     bit for bit, or both None."""
@@ -175,13 +187,17 @@ def test_fused_kernels_equal_helper_forms_along_the_witness(built_curve, start):
         heads, tails = geometry._ray_point(p, p_tail, t, v)
         want_heads, want_tails = ref.ray_point(p, p_tail, t, v)
         assert _bits(heads + tails) == _bits(want_heads + want_tails)
+        assert _bits(geometry._square_form(*heads, *tails)) == _bits(ref.square_form(*heads, *tails))
+        assert _bits(geometry._square_form(*p, *p_tail)) == _bits(ref.square_form(*p, *p_tail))
         assert _bits(geometry._predictor_head(p, p_tail, v)) == _bits(ref.predictor_head(p, p_tail, v))
         state = cone_step_precise(cone, *state)
 
 
 def test_step_calls_into_geometry_stay_fused(built_curve):
-    # every two-sum and two-product of a step is written out in line; the
-    # helper form made 176 calls a step
+    # every two-sum and two-product of a step is written out in line, in
+    # one kernel per compensated operation: each gap call makes three calls
+    # (the gap, _ray_point, _square_form), and a step 34.3 from k1 + 1 over
+    # these 100 steps; the helper form made 176 calls a step
     cone = GeneralCone(built_curve)
     line = SpiralTrajectory(0.0, kmax=built_curve.kmax).line(built_curve.k1 + 1)
     state = (*project_to_surface(cone, line.base), line.dir.tolist())

@@ -228,7 +228,7 @@ def test_vertex_limit_point():
     p = traj.vertex(200_000)
     assert np.allclose(p, [2.0, 0.0, 2.0], atol=2e-2)
     # and the limit is approached monotonically in the radius
-    t_far = traj.t(np.array([50_000, 100_000, 200_000]))
+    t_far = 1.0 / np.cos(traj.tilt(np.array([50_000, 100_000, 200_000])))
     assert abs(t_far[-1] - 2.0) < abs(t_far[0] - 2.0)
     assert float(t_far[-1]) == pytest.approx(2.0, abs=1e-2)
 
@@ -236,7 +236,7 @@ def test_vertex_limit_point():
 def test_vertex_norm_is_sqrt2_t(spiral_a0):
     ks = np.array([1, 10, 1000, 100_000])
     p = spiral_a0.vertex(ks)
-    assert np.abs(np.linalg.norm(p, axis=-1) - SQRT2 * spiral_a0.t(ks)).max() < 1e-12
+    assert np.abs(np.linalg.norm(p, axis=-1) - SQRT2 * (1.0 / np.cos(spiral_a0.tilt(ks)))).max() < 1e-12
 
 
 def test_vertex_below_k0_rejected():
@@ -268,17 +268,17 @@ def test_t_monotone_with_fixed_tilt_sign():
     # a < 0: A_k = a - S_k < 0 with |A_k| shrinking, so t_k decreases;
     # a = 1.2 > S_k0: A_k > 0 grows, so t_k increases
     traj = SpiralTrajectory(-1.0, kmax=50_000)
-    t = traj.t(np.arange(traj.k0, 50_000, 100))
+    t = 1.0 / np.cos(traj.tilt(np.arange(traj.k0, 50_000, 100)))
     assert np.all(np.diff(t) < 0.0)
     assert np.all(t > 0.0)
     traj = SpiralTrajectory(1.2, kmax=50_000)
-    t = traj.t(np.arange(traj.k0, 50_000, 100))
+    t = 1.0 / np.cos(traj.tilt(np.arange(traj.k0, 50_000, 100)))
     assert np.all(np.diff(t) > 0.0)
 
 
 def test_t_diverges_at_a_half_pi():
     traj = SpiralTrajectory(math.pi / 2, kmax=200_000)
-    t = traj.t(np.array([10, 1000, 200_000]))
+    t = 1.0 / np.cos(traj.tilt(np.array([10, 1000, 200_000])))
     assert t[2] > t[1] > t[0]
     assert float(t[2]) > 300.0  # 1/sin(S_k) ~ sqrt(k/2) growth
     assert traj.total_length() == math.inf
