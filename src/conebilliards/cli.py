@@ -126,7 +126,8 @@ def _simulate_rows(cone, seed: int, first: int, logs: list) -> list:
     sizes = np.array([len(log.bases) for log in logs])
     starts = np.cumsum(sizes) - sizes
     bases = np.concatenate([log.bases for log in logs])
-    I1, I2 = elliptic.first_integrals(cone, bases, np.concatenate([log.dirs for log in logs]))
+    dirs = np.concatenate([log.dirs for log in logs])
+    I1, I2 = elliptic.first_integrals(cone, *bases.T, *dirs.T)
     keep = np.ones(len(bases) - 1, dtype=bool)
     keep[starts[1:] - 1] = False  # the pairs of rows that straddle two trajectories
     radial = unit(bases)
@@ -366,13 +367,15 @@ def cmd_curve_build(args) -> RunReport:
 
     ks = np.unique(np.geomspace(max(curve.k1 + 1, 100), min(curve.kmax - 2, 50_000), 24).astype(int))
     kap_min = float(curve.curvature(curve.window_samples(ks, 96)).min())
-    census = curve_mod.sign_change_census(curve, curve.k1 + 1, min(curve.k1 + 2000, curve.kmax - 2))
+    k_lo, k_hi = curve.k1 + 1, min(curve.k1 + 2000, curve.kmax - 2)
+    census = curve_mod.sign_change_census(curve, k_lo, k_hi)
     return RunReport(
         command="curve build",
         config={"kmax": args.kmax, "k1_min": args.k1_min, "grid": args.grid, "out": str(out_dir)},
         passed=kap_min > curve_mod.KAPPA_MIN,
         checks={"kappa_min_sampled": kap_min,
-                "sign_changes_first_2000": census},
+                "sign_changes_first_2000": census,
+                "sign_change_windows": max(0, k_hi - k_lo + 1)},
         measured={"k1": curve.k1, "bump_constant": curve_mod.bump_constant()},
         timings={"build": t1 - t0, "output": t2 - t1, "checks": time.monotonic() - t2},
     )

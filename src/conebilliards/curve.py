@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import C2CheckFailure, ConstructionError, DomainError, ReplayFailure, Termination
-from .geometry import (GeneralCone, _dots, _stack, angular_momenta, cone_step_precise,
+from .geometry import (GeneralCone, _dots, _stack, cone_step_precise, distance_sq, momenta,
                        project_to_surface)
 from . import spiral
 from .spiral import SpiralParams, SpiralTrajectory
@@ -426,9 +426,8 @@ def replay(
     miss = x - expected
     rel = np.sqrt(_dots(miss, miss)) / np.sqrt(_dots(expected, expected))
     bad = np.flatnonzero(rel > VERTEX_TOL)
-    m = angular_momenta(x, dirs[1:])
     max_rel = float(rel.max(initial=0.0))
-    max_dist = float(np.abs(_dots(m, m) - 2.0).max(initial=0.0))
+    max_dist = float(np.abs(distance_sq(*momenta(*x.T, *dirs[1:].T)) - 2.0).max(initial=0.0))
     closed = float(traj.partial_length(k_start, k_start + steps - 1))
     prefix = float(traj.partial_length(traj.k0, k_start - 1)) if k_start > traj.k0 else 0.0
     report = ReplayReport(

@@ -21,7 +21,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, GrazingError, TangencyWarning, Termination
-from .geometry import OrientedLine, _normalized, _stack, momenta, near_apex, reflect_direction
+from .geometry import (OrientedLine, _normalized, _stack, distance_sq, momenta, near_apex,
+                       reflect_direction)
 
 T_MIN_FACTOR = 1e-12      # excludes re-hitting the current vertex
 LINEAR_A_TOL = 1e-14      # |A| below this solves the ray linearly
@@ -58,19 +59,11 @@ class EllipticCone:
         return _normalized([-g for g in self.gradient(x)])
 
 
-def first_integrals(cone: EllipticCone, x, v) -> tuple:
-    """(I1, I2) of the line through x with direction v: x and v are one
-    line's (3,) arrays or (n, 3) stacks of lines, the m_ij taken along the
-    last axis."""
-    return _integrals(cone, x[..., 0], x[..., 1], x[..., 2], v[..., 0], v[..., 1], v[..., 2])
-
-
-def _integrals(cone: EllipticCone, x0, x1, x2, v0, v1, v2) -> tuple:
-    """(I1, I2) from the coordinates of a base and a direction: Python
-    floats for one line, arrays for a stack."""
+def first_integrals(cone: EllipticCone, x0, x1, x2, v0, v1, v2) -> tuple:
+    """(I1, I2) of the line through x with direction v, from their
+    coordinates: Python floats for one line, arrays for a stack."""
     m12, m13, m23 = momenta(x0, x1, x2, v0, v1, v2)
-    return (m12 * m12 + m13 * m13 + m23 * m23,
-            cone.a**2 * (m23 * m23) + cone.b**2 * (m13 * m13) - m12 * m12)
+    return distance_sq(m12, m13, m23), cone.a**2 * (m23 * m23) + cone.b**2 * (m13 * m13) - m12 * m12
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class IntegralPair:
 
 
 def integral_pair(cone: EllipticCone, line: OrientedLine) -> IntegralPair:
-    return IntegralPair(*_integrals(cone, *line.base.tolist(), *line.dir.tolist()))
+    return IntegralPair(*first_integrals(cone, *line.base.tolist(), *line.dir.tolist()))
 
 
 def next_intersection(cone: EllipticCone, p, v) -> Union[list, Termination]:

@@ -143,13 +143,10 @@ def momenta(x0, x1, x2, v0, v1, v2) -> tuple:
     return x0 * v1 - x1 * v0, x0 * v2 - x2 * v0, x1 * v2 - x2 * v1
 
 
-def angular_momenta(x, v) -> np.ndarray:
-    """(m12, m13, m23) of the line through x along v as an array; (..., 3)
-    stacks of them give (..., 3)."""
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    if x.shape[-1:] != (3,) or v.shape[-1:] != (3,):
-        raise DomainError(f"momenta are implemented in R^3, got shapes {x.shape} and {v.shape}")
-    return np.stack(momenta(*np.moveaxis(x, -1, 0), *np.moveaxis(v, -1, 0)), axis=-1)
+def distance_sq(m12, m13, m23):
+    """I1 = m12^2 + m13^2 + m23^2, the squared distance of a line to the
+    origin, from its momenta: a float for floats, an array for arrays."""
+    return m12 * m12 + m13 * m13 + m23 * m23
 
 
 def reflect_direction(v, normal) -> list:

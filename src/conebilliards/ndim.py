@@ -235,13 +235,13 @@ def embedded_reflection_check(
     slots, is zero by construction and says nothing about the lift.
     """
     n, kmax = section.n, section.curve.kmax
-    k_start = max(section.curve.k1 + 1, trajectory.k0)
+    k_start = max(section.curve.k1, trajectory.k0) + 1  # vertex k reads direction k - 1
     if k_start + count - 1 > kmax:  # q_{k+1} of the built curve fixes direction k
         raise DomainError(f"the embedded check compares vertices {k_start}..{k_start + count - 1}, "
                           f"past the curve's kmax = {kmax}")
     ks = np.arange(k_start, k_start + count)
-    v_in = trajectory.direction(ks - 1)      # (count, 3): planar components...
-    v_out = trajectory.direction(ks)
+    v = trajectory.direction(np.arange(k_start - 1, k_start + count))  # (count + 1, 3)
+    v_in, v_out = v[:-1], v[1:]
     xi_v = spiral.xi(ks).astype(float)
     f, fp, _ = section._f1_at_xi(xi_v)
     x2 = np.sin(xi_v)                         # rho(xi_k) = 1 at vertices

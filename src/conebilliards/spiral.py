@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import OrientedLine, _dots, angle_between, angular_momenta, unit
+from .geometry import OrientedLine, angle_between, distance_sq, momenta, unit
 
 SQRT2 = math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
@@ -309,8 +309,8 @@ class SpiralTrajectory:
     def verify_distance(self, k):
         """dist(l_k, O) - sqrt(2) via the angular momenta m_ij of l_k."""
         k = self._check_k(k)
-        m = angular_momenta(self._vertex(k), self._direction(k))
-        return np.sqrt(_dots(m, m)) - SQRT2
+        x, v = np.moveaxis(self._vertex(k), -1, 0), np.moveaxis(self._direction(k), -1, 0)
+        return np.sqrt(distance_sq(*momenta(*x, *v))) - SQRT2
 
     def verify_equal_angles(self, k):
         """(alpha_k, beta_k): angles of l_k and l_{k-1} with the radius p_k."""

@@ -7,13 +7,6 @@ from conebilliards.errors import GrazingError
 from conebilliards.spiral import SpiralParams, SpiralTrajectory, shared_tail_table
 
 
-def pytest_configure(config):
-    # A stray TangencyWarning fails the suite.  Registered here and not in
-    # pyproject.toml, where a run that cannot import the package (the
-    # perfbench tests) would warn about an unknown warning category.
-    config.addinivalue_line("filterwarnings", "error::conebilliards.errors.TangencyWarning")
-
-
 @pytest.fixture(scope="session")
 def built_curve():
     """The default section curve; building it is the expensive part."""

@@ -21,15 +21,17 @@ from conebilliards.curve import PolarCurve
 from conebilliards.elliptic import (EllipticCone, IntegralPair, TrajectoryLog, first_integrals,
                                     integral_pair)
 from conebilliards.errors import DomainError, GrazingError
-from conebilliards.geometry import (GRAZING_TOL, OrientedLine, _dots, angle_between,
-                                    angular_momenta, check_unit, unit)
+from conebilliards.geometry import GRAZING_TOL, OrientedLine, _dots, angle_between, check_unit, unit
 from conebilliards.ndim import LiftedSection
 from conebilliards.spiral import sigma, xi
 
 
 def line_distance_sq(line: OrientedLine) -> float:
-    """Squared distance of the line to the origin as sum of m_ij^2."""
-    m = angular_momenta(line.base, line.dir)
+    """Squared distance of the line to the origin as np.dot(m, m), the m_ij
+    formed here rather than by geometry.momenta and summed by np.dot's fma
+    chain rather than by geometry.distance_sq."""
+    (x0, x1, x2), (v0, v1, v2) = line.base.tolist(), line.dir.tolist()
+    m = np.array([x0 * v1 - x1 * v0, x0 * v2 - x2 * v0, x1 * v2 - x2 * v1])
     return float(np.dot(m, m))
 
 
@@ -64,14 +66,16 @@ def alpha_theta_residuals(vertices, outgoing) -> AlphaThetaReport:
     radial = unit(p)
     alphas = angle_between(v, radial)
     res_alpha = alphas[1:] - (alphas[:-1] - angle_between(radial[:-1], radial[1:]))
-    m = angular_momenta(p, v)
+    m = np.stack([p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0], p[:, 0] * v[:, 2] - p[:, 2] * v[:, 0],
+                  p[:, 1] * v[:, 2] - p[:, 2] * v[:, 1]], axis=-1)
     res_radius = np.sqrt(_dots(p, p)) * np.sin(alphas) - np.sqrt(_dots(m, m))
     return AlphaThetaReport(alpha=res_alpha, radius=res_radius)
 
 
 def angle_to_integral_residual(cone: EllipticCone, line: OrientedLine, hit: np.ndarray) -> float:
     """cos(xi2 - xi1) - (2 m12^2/(m12^2 + I2) - 1) for the chord base->hit."""
-    m12 = angular_momenta(line.base, line.dir)[0]
+    (x0, x1, _), (v0, v1, _) = line.base.tolist(), line.dir.tolist()
+    m12 = x0 * v1 - x1 * v0
     I2 = integral_pair(cone, line).I2
     xi1 = section_angle(cone, line.base)
     xi2 = section_angle(cone, hit)
@@ -136,7 +140,7 @@ def F1_batch(section: LiftedSection, Y: np.ndarray) -> np.ndarray:
 
 def log_integrals(cone: EllipticCone, log: TrajectoryLog) -> IntegralPair:
     """(I1, I2) of every line of a log run in cone, as arrays."""
-    return IntegralPair(*first_integrals(cone, log.bases, log.dirs))
+    return IntegralPair(*first_integrals(cone, *log.bases.T, *log.dirs.T))
 
 
 def log_thetas(log: TrajectoryLog) -> np.ndarray:

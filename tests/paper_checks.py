@@ -32,8 +32,7 @@ def h_identity_residual(cone: EllipticCone, u, v) -> float:
     nrm = np.hypot(u1, u2)
     if np.any(nrm < 1e-300):
         raise DomainError("(u1, u2) must be nonzero")
-    x = np.stack([a * u1, b * u2, nrm], axis=-1)
-    lhs = first_integrals(cone, x, v)[1]
+    lhs = first_integrals(cone, a * u1, b * u2, nrm, v[..., 0], v[..., 1], v[..., 2])[1]
     s1 = a * v[..., 0] + u1 * v[..., 2] / nrm
     s2 = b * v[..., 1] + u2 * v[..., 2] / nrm
     h11 = -(b**2) * u1**2 - (1.0 + b**2) * u2**2
@@ -56,9 +55,9 @@ def poisson_bracket_residual(cone: EllipticCone, x, v) -> float:
             e = np.zeros(3)
             e[k] = h
             if wrt_x:
-                hi, lo = first_integrals(cone, x + e, v), first_integrals(cone, x - e, v)
+                hi, lo = first_integrals(cone, *(x + e), *v), first_integrals(cone, *(x - e), *v)
             else:
-                hi, lo = first_integrals(cone, x, v + e), first_integrals(cone, x, v - e)
+                hi, lo = first_integrals(cone, *x, *(v + e)), first_integrals(cone, *x, *(v - e))
             return (np.array(hi) - np.array(lo)) / (2.0 * h)
 
         return (4.0 * central(PB_STEP / 2.0) - central(PB_STEP)) / 3.0

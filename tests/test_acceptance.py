@@ -12,7 +12,7 @@ from conebilliards import spiral
 from conebilliards.curve import c2_check_at_zero, replay, sign_change_census
 from conebilliards.elliptic import EllipticCone
 from conebilliards.errors import Termination
-from conebilliards.geometry import OrientedLine, angular_momenta, unit
+from conebilliards.geometry import OrientedLine, distance_sq, momenta, unit
 from conebilliards.ndim import LiftedSection, embedded_reflection_check, negdef_check
 from conebilliards.spiral import SpiralParams, SpiralTrajectory
 
@@ -54,10 +54,9 @@ def test_criterion_01_first_integral_consistency():
     # spot-check the vectorized identity against the per-line operations
     for i in range(0, 100_000, 20_000):
         line = OrientedLine(x[i], v[i])
-        m = angular_momenta(line.base, line.dir)
-        assert float(np.dot(m, m)) == pytest.approx(
-            lhs[i], rel=1e-14
-        )
+        m = momenta(*line.base.tolist(), *line.dir.tolist())
+        assert distance_sq(*m) == pytest.approx(lhs[i], rel=1e-14)
+        assert line_distance_sq(line) == pytest.approx(lhs[i], rel=1e-14)
         assert projected_distance_sq(line) == pytest.approx(rhs[i], rel=1e-14)
     assert rel.max() < 1e-12
     assert elapsed < 1.0

@@ -349,6 +349,18 @@ def test_curve_build_k1_min_beyond_near_windows(tmp_path):
     assert json.loads(rep.read_text())["measured"]["k1"] == 5000
 
 
+@pytest.mark.parametrize("kmax, windows", [(68, 0), (200, 132)])
+def test_curve_build_census_counts_its_windows(tmp_path, kmax, windows):
+    # the census reads k1 + 1 .. min(k1 + 2000, kmax - 2), k1 = 66: empty at
+    # --kmax 68, windows 67..198 at --kmax 200
+    rep = tmp_path / "rep.json"
+    assert main(["curve", "build", "--kmax", str(kmax), "--out", str(tmp_path),
+                 "--report", str(rep)]) == 0
+    checks = json.loads(rep.read_text())["checks"]
+    assert checks["sign_change_windows"] == windows
+    assert checks["sign_changes_first_2000"] == windows  # every live window changes sign
+
+
 def test_replay_range_up_to_kmax(tmp_path):
     # --steps 35 runs past kmax and is refused in test_rejects_bad_sizes
     assert main(["replay", "--kmax", "100", "--steps", "34",
@@ -377,6 +389,23 @@ def test_ndim_check_range_up_to_kmax(tmp_path, capsys):
         assert exc.value.code == 2
         assert (f"error: the embedded check compares vertices 67..{66 + int(steps)}, past the "
                 f"curve's kmax = 100") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, k0", [(-1.49, 77), (-1.484, 67), (-1.4834, 66)])
+def test_ndim_check_starts_above_k0(tmp_path, capsys, a, k0):
+    # vertex k reads direction k - 1, defined from k0 on: the check compares
+    # vertices max(k1, k0) + 1 .. max(k1, k0) + --steps (k1 = 66 at --kmax 100)
+    assert SpiralTrajectory(a, kmax=101).k0 == k0
+    k_start = max(66, k0) + 1
+    steps = 101 - k_start
+    assert main(["ndim", "check", "--a", str(a), "--kmax", "100", "--grid", "100",
+                 "--steps", str(steps), "--report", str(tmp_path / "rep.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["ndim", "check", "--a", str(a), "--kmax", "100", "--grid", "100",
+              "--steps", str(steps + 1)])
+    assert exc.value.code == 2
+    assert (f"error: the embedded check compares vertices {k_start}..101, past the "
+            f"curve's kmax = 100") in capsys.readouterr().err
 
 
 def test_replay_command(tmp_path):

@@ -8,7 +8,7 @@ from conebilliards import elliptic, geometry
 from conebilliards.errors import DomainError, GrazingError, Termination
 from conebilliards.geometry import (
     OrientedLine,
-    angular_momenta,
+    momenta,
     unit,
 )
 from conebilliards.elliptic import (
@@ -252,7 +252,7 @@ def test_run_planar_stays_planar(cone):
     log = run(cone, line, max_steps=50)
     assert len(log.vertices) >= 1
     for ln in _lines(log):
-        m12, _, m23 = angular_momenta(ln.base, ln.dir)
+        m12, _, m23 = momenta(*ln.base.tolist(), *ln.dir.tolist())
         assert m12 == 0.0 and m23 == 0.0
 
 
@@ -357,7 +357,7 @@ def test_chord_angle_closed_form(cone, rng):
     pair = _launch_pair(cone, log)
     pts = log.bases  # run_random starts on the surface
     for ln, p1, p2 in zip(_lines(log), pts[:-1], pts[1:]):
-        m12 = angular_momenta(ln.base, ln.dir)[0]
+        m12 = momenta(*ln.base.tolist(), *ln.dir.tolist())[0]
         s2 = chord_angle_sin_sq(cone, pair.I1, pair.I2, m12)
         u1, u2 = unit(p1), unit(p2)
         sin_th = float(np.linalg.norm(np.cross(u1, u2)))

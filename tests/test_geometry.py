@@ -15,8 +15,8 @@ from conebilliards.geometry import (
     GeneralCone,
     OrientedLine,
     angle_between,
-    angular_momenta,
     cone_step_precise,
+    distance_sq,
     momenta,
     reflect_direction,
     unit,
@@ -45,22 +45,28 @@ def test_dots_equals_np_dot_on_contiguous_rows(rng, n):
                           want.reshape(50, 100))
 
 
+def _line_momenta(line):
+    return momenta(*line.base.tolist(), *line.dir.tolist())
+
+
 def test_momenta_direct_substitution():
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-    m12, m13, m23 = angular_momenta(line.base, line.dir)
+    m12, m13, m23 = _line_momenta(line)
     assert (m23, m13, m12) == (-1.0, 0.0, 1.0)
+    assert distance_sq(m12, m13, m23) == 2.0
 
 
 def test_momenta_line_through_origin():
     line = OrientedLine([0.0, 0.0, 0.0], unit([0.3, -0.5, 0.81]))
-    assert np.all(angular_momenta(line.base, line.dir) == 0.0)
+    assert _line_momenta(line) == (0.0, 0.0, 0.0)
+    assert distance_sq(*_line_momenta(line)) == 0.0
 
 
 def test_momenta_invariant_under_slide():
     line = OrientedLine([1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     slid = OrientedLine([1.0, 5.0, 1.0], [0.0, 1.0, 0.0])
-    assert np.allclose(angular_momenta(line.base, line.dir), angular_momenta(slid.base, slid.dir),
-                       atol=1e-12)
+    assert np.allclose(_line_momenta(line), _line_momenta(slid), atol=1e-12)
+    assert distance_sq(*_line_momenta(slid)) == pytest.approx(2.0, abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -70,22 +76,23 @@ def test_momenta_slide_property(seed):
     base = r.uniform(-5, 5, 3)
     d = unit(r.normal(size=3))
     s = r.uniform(-10, 10)
-    m1 = angular_momenta(base, d)
-    m2 = angular_momenta(base + s * d, d)
+    m1 = np.array(momenta(*base, *d))
+    m2 = np.array(momenta(*(base + s * d), *d))
     assert np.abs(m1 - m2).max() < 1e-12 * max(1.0, np.abs(m1).max())
+    i1, i2 = distance_sq(*m1), distance_sq(*m2)
+    assert abs(i1 - i2) < 1e-11 * max(1.0, i1)
 
 
 def test_momenta_stack_rows_equal_single_lines(rng):
-    # rows of a stack, one line's array and one line's floats: the same bits
+    # the columns of a stack, one line's array entries and one line's floats: the same bits
     x, v = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
-    rows = angular_momenta(x, v)
-    assert rows.shape == (7, 3)
+    cols = momenta(*x.T, *v.T)
+    i1 = distance_sq(*cols)
+    assert i1.shape == (7,) and all(c.shape == (7,) for c in cols)
     for i in range(7):
-        assert np.array_equal(rows[i], angular_momenta(x[i], v[i]))
-        assert rows[i].tolist() == list(momenta(*x[i].tolist(), *v[i].tolist()))
-    for n in (2, 5):  # the m_ij are implemented in R^3
-        with pytest.raises(DomainError):
-            angular_momenta(rng.normal(size=(7, n)), rng.normal(size=(7, n)))
+        floats = momenta(*x[i].tolist(), *v[i].tolist())
+        assert [c[i] for c in cols] == list(momenta(*x[i], *v[i])) == list(floats)
+        assert i1[i] == distance_sq(*floats) == distance_sq(*momenta(*x[i], *v[i]))
 
 
 def test_distance_sq_trivial():
@@ -247,7 +254,6 @@ _REFUSERS = {
     "unit": unit,
     "angle_between": lambda x: angle_between(x, x),
     "angle_between_mixed": lambda x: angle_between(_R3, x),
-    "angular_momenta": lambda x: angular_momenta(x, x),
     "OrientedLine": lambda x: OrientedLine(x, x),
     "OrientedLine_base": lambda x: OrientedLine(x, _R3),
     "reflect_direction": lambda x: reflect_direction(x, x),

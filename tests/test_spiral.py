@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conebilliards import spiral
+from conebilliards.elliptic import EllipticCone, first_integrals
 from conebilliards.errors import DomainError
 from conebilliards.geometry import (
     OrientedLine,
@@ -334,6 +335,23 @@ def test_array_checks_match_per_k_route(a):
         assert abs(dist[i] - (math.sqrt(line_distance_sq(line)) - SQRT2)) <= 1e-15
         assert abs(alpha[i] - angle_between(traj.direction(k), u)) <= 1e-15
         assert abs(beta[i] - angle_between(traj.direction(k - 1), u)) <= 1e-15
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_verify_distance_is_the_elliptic_i1(a):
+    # one I1 routine: the distance check and the elliptic integrals give the
+    # same bits on every witness line, for an array of k and for one k
+    traj = SpiralTrajectory(a, kmax=110_000)
+    ks = np.concatenate([np.arange(traj.k0, traj.k0 + 2000),
+                         np.unique(np.geomspace(traj.k0 + 2000, 100_000, 800).astype(int))])
+    x, v = traj.vertex(ks), traj.direction(ks)
+    i1 = first_integrals(EllipticCone(2.0, 1.0), *x.T, *v.T)[0]
+    dist = traj.verify_distance(ks)
+    assert np.array_equal(dist, np.sqrt(i1) - SQRT2)
+    assert np.array_equal(traj.verify_distance(ks[:2000].reshape(40, 50)), dist[:2000].reshape(40, 50))
+    for k in ks[::97].tolist():
+        i1_k = first_integrals(EllipticCone(2.0, 1.0), *traj.vertex(k), *traj.direction(k))[0]
+        assert traj.verify_distance(k) == math.sqrt(i1_k) - SQRT2
 
 
 def test_alpha_recurrence_near_lower_boundary():
